@@ -1,6 +1,6 @@
 //! Microbenchmarks for the hot components of the pipeline: the mobility
 //! metrics (computed millions of times per study), the spatial index,
-//! the scheduler, and the dwell reconstruction.
+//! serving-cell resolution, the scheduler, and the dwell reconstruction.
 //!
 //! Run with `cargo bench -p cellscope-bench --bench components`.
 
@@ -9,7 +9,7 @@ use cellscope_core::{
 };
 use cellscope_geo::{Point, SynthConfig};
 use cellscope_radio::{
-    CellCapacity, DeployConfig, HourLoad, Rat, Scheduler, VoiceLoad,
+    CellCapacity, DeployConfig, HourLoad, Rat, Scheduler, SiteId, VoiceLoad,
 };
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
@@ -78,6 +78,16 @@ fn bench_spatial_index(c: &mut Criterion) {
         b.iter(|| {
             i = (i + 1) % points.len();
             topo.nearest_site(black_box(points[i]))
+        })
+    });
+    // How load accumulation resolves a visit's 4G cell: straight from
+    // the visit's site id, no spatial search.
+    let num_sites = topo.sites().len();
+    c.bench_function("serving_cell_at_site", |b| {
+        let mut i = 0;
+        b.iter(|| {
+            i = (i + 1) % num_sites;
+            topo.serving_cell_at_site(black_box(SiteId(i as u32)), Rat::G4, 30)
         })
     });
     c.bench_function("nearest_site_brute_force", |b| {

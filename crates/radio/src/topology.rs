@@ -199,9 +199,17 @@ impl Topology {
     }
 
     /// The cell of a given RAT at the site nearest to `p` that is active
-    /// on `day`. Falls back to the site's 4G cell, then any cell there.
+    /// on `day`, with the fallbacks of
+    /// [`serving_cell_at_site`](Self::serving_cell_at_site).
     pub fn serving_cell(&self, p: Point, rat: Rat, day: u16) -> Option<CellId> {
-        let site = self.site(self.nearest_site(p));
+        self.serving_cell_at_site(self.nearest_site(p), rat, day)
+    }
+
+    /// The cell of a given RAT at `site` that is active on `day`. Falls
+    /// back to the site's 4G cell, then any active cell there. O(1): no
+    /// spatial search, for callers that already know the site.
+    pub fn serving_cell_at_site(&self, site: SiteId, rat: Rat, day: u16) -> Option<CellId> {
+        let site = self.site(site);
         let pick = |want: Option<Rat>| -> Option<CellId> {
             site.cells
                 .iter()
@@ -283,6 +291,74 @@ mod tests {
             t.serving_cell(Point::new(0.0, 0.0), Rat::G2, 0),
             Some(CellId(0))
         );
+    }
+
+    /// One site hosting a 2G, a 3G and a 4G cell (ids 0, 1, 2 in that
+    /// order), plus a 4G-only site 10 km away.
+    fn multi_rat_topology() -> Topology {
+        let loc = Point::new(0.0, 0.0);
+        let far = Point::new(10.0, 0.0);
+        let mk = |id: u32, site: u32, rat: Rat, location: Point| Cell {
+            id: CellId(id),
+            site: SiteId(site),
+            rat,
+            zone: ZoneId(0),
+            location,
+            capacity: CellCapacity::typical(rat),
+            active_from: 0,
+            active_to: u16::MAX,
+        };
+        let cells = vec![
+            mk(0, 0, Rat::G2, loc),
+            mk(1, 0, Rat::G3, loc),
+            mk(2, 0, Rat::G4, loc),
+            mk(3, 1, Rat::G4, far),
+        ];
+        let sites = vec![
+            CellSite {
+                id: SiteId(0),
+                location: loc,
+                zone: ZoneId(0),
+                cells: vec![CellId(0), CellId(1), CellId(2)],
+            },
+            CellSite {
+                id: SiteId(1),
+                location: far,
+                zone: ZoneId(0),
+                cells: vec![CellId(3)],
+            },
+        ];
+        Topology::from_parts(sites, cells, 1)
+    }
+
+    #[test]
+    fn site_lookup_prefers_the_requested_rat() {
+        let t = multi_rat_topology();
+        assert_eq!(t.serving_cell_at_site(SiteId(0), Rat::G2, 0), Some(CellId(0)));
+        assert_eq!(t.serving_cell_at_site(SiteId(0), Rat::G3, 0), Some(CellId(1)));
+        assert_eq!(t.serving_cell_at_site(SiteId(0), Rat::G4, 0), Some(CellId(2)));
+        // A site without the requested RAT falls back to its 4G cell.
+        assert_eq!(t.serving_cell_at_site(SiteId(1), Rat::G2, 0), Some(CellId(3)));
+    }
+
+    #[test]
+    fn site_lookup_with_inactive_4g_falls_back_to_any_active_cell() {
+        let mut t = multi_rat_topology();
+        // 4G down from day 10, 2G up only from day 20.
+        t.cells[2].active_to = 9;
+        t.cells[0].active_from = 20;
+        // The requested RAT still wins while it is active.
+        assert_eq!(t.serving_cell_at_site(SiteId(0), Rat::G3, 15), Some(CellId(1)));
+        // 4G requested but inactive: the first active cell, in site order.
+        assert_eq!(t.serving_cell_at_site(SiteId(0), Rat::G4, 15), Some(CellId(1)));
+        assert_eq!(t.serving_cell_at_site(SiteId(0), Rat::G4, 20), Some(CellId(0)));
+        // 2G requested but not yet active, 4G inactive: any active cell.
+        assert_eq!(t.serving_cell_at_site(SiteId(0), Rat::G2, 15), Some(CellId(1)));
+        // While 4G is up it is the fallback for an inactive RAT.
+        assert_eq!(t.serving_cell_at_site(SiteId(0), Rat::G2, 5), Some(CellId(2)));
+        // Nothing active at the site: no cell, never a neighbour's.
+        t.cells[1].active_to = 9;
+        assert_eq!(t.serving_cell_at_site(SiteId(0), Rat::G4, 15), None);
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! Property tests for the radio layer: the spatial index against brute
-//! force, scheduler conservation laws, and interconnect behaviour.
+//! force, serving-cell resolution by site id against the nearest-site
+//! search, scheduler conservation laws, and interconnect behaviour.
 
 use cellscope_geo::{Point, ZoneId};
 use cellscope_radio::{
@@ -45,6 +46,56 @@ fn topology_strategy() -> impl Strategy<Value = (Topology, Vec<Point>)> {
         })
 }
 
+/// Sites at distinct locations hosting a random non-empty subset of
+/// the three RATs, each cell with a random activation window, so the
+/// serving-cell fallbacks (requested RAT, then 4G, then any active
+/// cell) all get exercised.
+fn multi_rat_topology_strategy() -> impl Strategy<Value = Topology> {
+    let site = (
+        -200.0f64..800.0,
+        -100.0f64..700.0,
+        1u8..8,
+        (0u16..60, 0u16..120),
+        (0u16..60, 0u16..120),
+        (0u16..60, 0u16..120),
+    );
+    prop::collection::vec(site, 1..120).prop_map(|raw| {
+        let mut seen = std::collections::HashSet::new();
+        let mut sites = Vec::new();
+        let mut cells: Vec<Cell> = Vec::new();
+        for (x, y, mask, w2, w3, w4) in raw {
+            if !seen.insert((x.to_bits(), y.to_bits())) {
+                continue;
+            }
+            let id = SiteId(sites.len() as u32);
+            let location = Point::new(x, y);
+            let mut hosted = Vec::new();
+            for (bit, rat, (from, len)) in
+                [(1, Rat::G2, w2), (2, Rat::G3, w3), (4, Rat::G4, w4)]
+            {
+                if mask & bit == 0 {
+                    continue;
+                }
+                let cid = CellId(cells.len() as u32);
+                hosted.push(cid);
+                cells.push(Cell {
+                    id: cid,
+                    site: id,
+                    rat,
+                    zone: ZoneId(0),
+                    location,
+                    capacity: CellCapacity::typical(rat),
+                    active_from: from,
+                    // Long windows stay open to the end of time.
+                    active_to: if len >= 100 { u16::MAX } else { from + len },
+                });
+            }
+            sites.push(CellSite { id, location, zone: ZoneId(0), cells: hosted });
+        }
+        Topology::from_parts(sites, cells, 1)
+    })
+}
+
 proptest! {
     /// The grid index always returns a site at the true minimum distance
     /// (ties may resolve to either site).
@@ -59,6 +110,24 @@ proptest! {
                 (d_fast - d_brute).abs() < 1e-9,
                 "grid {d_fast} vs brute {d_brute}"
             );
+        }
+    }
+
+    /// With distinct site locations every site is its own nearest site,
+    /// so resolving the serving cell from the site id picks exactly the
+    /// cell the nearest-site search from its location picks.
+    #[test]
+    fn serving_cell_at_site_matches_search(topo in multi_rat_topology_strategy()) {
+        for site in topo.sites() {
+            for rat in [Rat::G2, Rat::G3, Rat::G4] {
+                for day in [0, 1, 7, 30, 59, 60, 99, 100, 179, 180, 400, u16::MAX] {
+                    prop_assert_eq!(
+                        topo.serving_cell_at_site(site.id, rat, day),
+                        topo.serving_cell(site.location, rat, day),
+                        "{} {:?} day {}", site.id, rat, day
+                    );
+                }
+            }
         }
     }
 

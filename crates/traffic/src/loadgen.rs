@@ -131,9 +131,11 @@ impl LoadGenerator {
 
         for visit in &trajectory.visits {
             // The visit's site must expose an active 4G cell to carry
-            // KPI-visible traffic.
-            let Some(cell) = topo
-                .serving_cell(topo.site(visit.site).location, cellscope_radio::Rat::G4, day)
+            // KPI-visible traffic. Resolved from the site id, not by a
+            // nearest-site search from its location: every deployed site
+            // is its own nearest site (`tests/deployment_invariants.rs`),
+            // so both give the same cell.
+            let Some(cell) = topo.serving_cell_at_site(visit.site, cellscope_radio::Rat::G4, day)
             else {
                 continue;
             };

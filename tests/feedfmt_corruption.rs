@@ -41,13 +41,66 @@ struct Fixture {
     bin_dir: PathBuf,
 }
 
+/// Prefix of every directory this suite writes, followed by the pid of
+/// the test process that wrote it.
+const SCRATCH_PREFIX: &str = "cellscope_corrupt_";
+
+/// `<cargo's per-package test tmp dir>/cellscope_corrupt_<pid><suffix>`.
+fn scratch_path(suffix: &str) -> PathBuf {
+    Path::new(env!("CARGO_TARGET_TMPDIR"))
+        .join(format!("{SCRATCH_PREFIX}{}{suffix}", std::process::id()))
+}
+
+/// Remove the directories of earlier runs whose process is gone. The
+/// shared fixture lives in a static and is never dropped, so its
+/// directory outlives the run; the next run takes it away here.
+fn remove_stale_scratch() {
+    // Liveness is read from procfs; without it nothing is removed.
+    if !Path::new("/proc/self").exists() {
+        return;
+    }
+    let Ok(entries) = std::fs::read_dir(env!("CARGO_TARGET_TMPDIR")) else {
+        return;
+    };
+    for entry in entries.flatten() {
+        let name = entry.file_name();
+        let pid = name
+            .to_str()
+            .and_then(|n| n.strip_prefix(SCRATCH_PREFIX))
+            .and_then(|rest| rest.split('_').next()?.parse::<u32>().ok());
+        if let Some(pid) = pid {
+            if !Path::new(&format!("/proc/{pid}")).exists() {
+                std::fs::remove_dir_all(entry.path()).ok();
+            }
+        }
+    }
+}
+
+/// A per-test copy of a feed dir, removed when dropped: a test that
+/// fails before its end cleans up too.
+struct ScratchCopy(PathBuf);
+
+impl std::ops::Deref for ScratchCopy {
+    type Target = Path;
+
+    fn deref(&self) -> &Path {
+        &self.0
+    }
+}
+
+impl Drop for ScratchCopy {
+    fn drop(&mut self) {
+        std::fs::remove_dir_all(&self.0).ok();
+    }
+}
+
 /// Export once, convert once; every test works on a fresh copy.
 fn fixture() -> &'static Fixture {
     static FIXTURE: OnceLock<Fixture> = OnceLock::new();
     FIXTURE.get_or_init(|| {
+        remove_stale_scratch();
         let cfg = micro(42);
-        let base =
-            std::env::temp_dir().join(format!("cellscope_corrupt_{}", std::process::id()));
+        let base = scratch_path("");
         let jsonl_dir = base.join("jsonl");
         let bin_dir = base.join("bin");
         let clean = run_study(&cfg).expect("in-memory study");
@@ -58,21 +111,20 @@ fn fixture() -> &'static Fixture {
 }
 
 /// Copy the pristine feed dir into a per-test scratch dir.
-fn copy_dir(src: &Path, tag: &str) -> PathBuf {
-    let dst = std::env::temp_dir()
-        .join(format!("cellscope_corrupt_{}_{tag}", std::process::id()));
+fn copy_dir(src: &Path, tag: &str) -> ScratchCopy {
+    let dst = scratch_path(&format!("_{tag}"));
     std::fs::remove_dir_all(&dst).ok();
     std::fs::create_dir_all(&dst).expect("mkdir");
     for entry in std::fs::read_dir(src).expect("read dir") {
         let entry = entry.expect("entry");
         std::fs::copy(entry.path(), dst.join(entry.file_name())).expect("copy");
     }
-    dst
+    ScratchCopy(dst)
 }
 
 /// Apply `damage` to the day-0 events segment in a fresh copy of the
 /// pristine binary feed set.
-fn damaged_feeds(tag: &str, damage: impl FnOnce(&mut Vec<u8>)) -> PathBuf {
+fn damaged_feeds(tag: &str, damage: impl FnOnce(&mut Vec<u8>)) -> ScratchCopy {
     let dir = copy_dir(&fixture().bin_dir, tag);
     let target = dir.join(events_bin_name(0));
     let mut bytes = std::fs::read(&target).expect("read segment");
@@ -141,7 +193,6 @@ fn assert_skip_and_count(dir: &Path) {
         // completion over the remaining days.
         assert_eq!(dataset.clock.num_days(), fx.clean.clock.num_days());
     }
-    std::fs::remove_dir_all(dir).ok();
 }
 
 // --- damage class 1: truncated segment ---------------------------------
@@ -153,7 +204,6 @@ fn truncated_segment_fails_fast_with_typed_error() {
         bytes.truncate(keep);
     });
     assert_fail_fast(&dir, |e| matches!(e, SegmentError::Truncated { .. }));
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -171,7 +221,6 @@ fn truncated_segment_is_counted_under_skip_and_count() {
 fn bad_magic_fails_fast_with_typed_error() {
     let dir = damaged_feeds("magic_ff", |bytes| bytes[1] ^= 0xFF);
     assert_fail_fast(&dir, |e| matches!(e, SegmentError::BadMagic { .. }));
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -189,7 +238,6 @@ fn payload_bit_rot_fails_fast_with_checksum_mismatch() {
         bytes[last] ^= 0x01;
     });
     assert_fail_fast(&dir, |e| matches!(e, SegmentError::ChecksumMismatch { .. }));
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -212,7 +260,6 @@ fn future_version_fails_fast_with_typed_error() {
         &dir,
         |e| matches!(e, SegmentError::UnsupportedVersion { found: 99 }),
     );
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -236,7 +283,6 @@ fn inflated_record_count_fails_fast_with_column_overrun() {
         bytes[12..16].copy_from_slice(&(records + 1000).to_le_bytes());
     });
     assert_fail_fast(&dir, |e| matches!(e, SegmentError::ColumnOverrun { .. }));
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -289,5 +335,4 @@ fn jsonl_malformed_line_numbers_are_recorded() {
         std::sync::Arc::ptr_eq(&hits[0].file, &hits[1].file),
         "malformed locations in one file must share the interned name"
     );
-    std::fs::remove_dir_all(&dir).ok();
 }
