@@ -27,9 +27,11 @@ use criterion::{criterion_group, criterion_main, Criterion};
 #[global_allocator]
 static ALLOC: CountingAllocator = CountingAllocator;
 
-/// Floor on `jsonl_parse_seconds / binary_decode_seconds`. The PR's
-/// acceptance line is 3×; the measured ratio has an order of magnitude
-/// of slack over this, so tier-1 does not flake on a noisy machine.
+/// Floor on `jsonl_parse_seconds / binary_decode_seconds`: the binary
+/// format has to stay clearly cheaper to read than the typed JSONL
+/// codec. Measured at `tiny` on a 2-core x86-64 host: parse 22.5 ms vs
+/// decode 2.7 ms, 8.2× (26.1× when the JSONL parse still built a JSON
+/// tree per line).
 const MIN_DECODE_SPEEDUP: f64 = 3.0;
 
 fn assert_feedfmt_properties() {

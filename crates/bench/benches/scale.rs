@@ -53,7 +53,8 @@ fn run_sweep_and_assert_budget() {
     // the mmap read path exists and is invisible in the output. The
     // headline speedup is measured at `small` by `--bench-summary`
     // (see `results/BENCH_feedfmt.json`).
-    let replay = feedbench::replay_compare(&ScenarioConfig::tiny(42), "tiny", 2);
+    let replay = feedbench::replay_compare(&ScenarioConfig::tiny(42), "tiny", 2)
+        .expect("streamed-vs-mapped replay at tiny");
     println!(
         "replay    tiny : {:.2}s streamed -> {:.2}s mapped ({:.2}x)",
         replay.streamed_seconds, replay.mapped_seconds, replay.mapped_speedup,

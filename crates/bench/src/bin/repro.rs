@@ -822,7 +822,10 @@ fn run_feedfmt_summary(path: &Path) {
     // The end-to-end streamed-vs-mapped replay number at the `small`
     // preset — the scale the zero-copy read path was promised at.
     let replay_config = ScenarioConfig::small(42);
-    let replay = feedbench::replay_compare(&replay_config, "small", 2);
+    let replay = feedbench::replay_compare(&replay_config, "small", 2).unwrap_or_else(|e| {
+        eprintln!("replay comparison failed: {e}");
+        std::process::exit(1);
+    });
     println!(
         "replay (small):   {:>8.1} s streamed -> {:.1} s mapped ({:.2}x, {:.1} MB feeds)",
         replay.streamed_seconds,

@@ -17,12 +17,14 @@
 use cellscope_exec::Executor;
 use cellscope_mobility::{DayTrajectory, TrajectoryGenerator};
 use cellscope_scenario::replay::{
-    dataset_divergence, export_feeds, replay_study_with, ReplayConfig, ReplayOptions,
+    dataset_divergence, export_feeds, replay_study_with, ReplayConfig, ReplayError,
+    ReplayOptions,
 };
-use cellscope_scenario::{convert_feed_dir, ScenarioConfig, World};
+use cellscope_scenario::{convert_feed_dir, ScenarioConfig, StudyDataset, World};
 use cellscope_signaling::columnar::{self, DecodeScratch, SegmentView};
 use cellscope_signaling::{write_events_jsonl, EventGenerator, EventReader, SignalingEvent};
 use serde::Serialize;
+use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 use crate::alloc_count;
@@ -219,45 +221,84 @@ pub fn run(config: &ScenarioConfig, scale_label: &str, iters: usize) -> FeedFmtS
     }
 }
 
+/// Name prefix of [`replay_compare`]'s scratch directories, followed by
+/// the owning process id.
+const REPLAYCMP_PREFIX: &str = "cellscope_replaycmp_";
+
+/// A scratch directory, removed when dropped: on every exit path,
+/// errors and panics included.
+struct ScratchDir(PathBuf);
+
+impl Drop for ScratchDir {
+    fn drop(&mut self) {
+        std::fs::remove_dir_all(&self.0).ok();
+    }
+}
+
+/// Remove the scratch directories of earlier runs whose process is
+/// gone (a killed run cannot drop its guard). Liveness is read from
+/// procfs; without it nothing is removed.
+fn remove_stale_scratch(tmp: &Path) {
+    if !Path::new("/proc/self").exists() {
+        return;
+    }
+    let Ok(entries) = std::fs::read_dir(tmp) else {
+        return;
+    };
+    for entry in entries.flatten() {
+        let name = entry.file_name();
+        let pid = name
+            .to_str()
+            .and_then(|n| n.strip_prefix(REPLAYCMP_PREFIX))
+            .and_then(|pid| pid.parse::<u32>().ok());
+        if let Some(pid) = pid {
+            if !Path::new(&format!("/proc/{pid}")).exists() {
+                std::fs::remove_dir_all(entry.path()).ok();
+            }
+        }
+    }
+}
+
 /// Replay one scale's full binary feed directory twice — streaming
 /// reader vs mmap'ed [`SegmentView`]s — and report the wall-time
 /// ratio. This is the end-to-end number the zero-copy read path is
 /// judged by: same feeds, same workers, only the byte source differs.
+/// The feeds live in `<temp dir>/cellscope_replaycmp_<pid>`, removed on
+/// every exit path; a failed export, conversion or replay is returned.
 pub fn replay_compare(
     config: &ScenarioConfig,
     scale_label: &str,
     iters: usize,
-) -> ReplayCompare {
+) -> Result<ReplayCompare, ReplayError> {
     let world = World::build(config);
-    let base = std::env::temp_dir()
-        .join(format!("cellscope_replaycmp_{}", std::process::id()));
-    let jsonl_dir = base.join("jsonl");
-    let bin_dir = base.join("bin");
-    export_feeds(config, &jsonl_dir).expect("export feeds");
-    let bytes = convert_feed_dir(&jsonl_dir, &bin_dir)
-        .expect("convert feeds")
-        .dst_bytes;
+    let tmp = std::env::temp_dir();
+    remove_stale_scratch(&tmp);
+    let base = ScratchDir(tmp.join(format!("{REPLAYCMP_PREFIX}{}", std::process::id())));
+    let jsonl_dir = base.0.join("jsonl");
+    let bin_dir = base.0.join("bin");
+    export_feeds(config, &jsonl_dir)?;
+    let bytes = convert_feed_dir(&jsonl_dir, &bin_dir)?.dst_bytes;
     // The replays read only the binary dir; drop the (much larger)
     // JSONL copy immediately so the scratch footprint is one format.
     std::fs::remove_dir_all(&jsonl_dir).ok();
 
     let mut exec = Executor::new(config.threads);
-    let mut replay_best = |options: ReplayOptions| {
+    let mut replay_best = |options: ReplayOptions| -> Result<(f64, StudyDataset), ReplayError> {
         let rcfg = ReplayConfig { options, ..ReplayConfig::default() };
-        let mut out = None;
-        let seconds = best_of(iters, || {
-            out = Some(
-                replay_study_with(config, &world, &bin_dir, &rcfg, &mut exec)
-                    .expect("replay"),
-            );
-        });
-        (seconds, out.expect("at least one iteration").0)
+        let mut best = f64::INFINITY;
+        let mut dataset = None;
+        for _ in 0..iters.max(1) {
+            let t = Instant::now();
+            let (replayed, _) = replay_study_with(config, &world, &bin_dir, &rcfg, &mut exec)?;
+            best = best.min(t.elapsed().as_secs_f64());
+            dataset = Some(replayed);
+        }
+        Ok((best, dataset.expect("at least one iteration")))
     };
-    let (streamed_seconds, streamed) = replay_best(ReplayOptions::streamed());
-    let (mapped_seconds, mapped) = replay_best(ReplayOptions::mapped());
-    std::fs::remove_dir_all(&base).ok();
+    let (streamed_seconds, streamed) = replay_best(ReplayOptions::streamed())?;
+    let (mapped_seconds, mapped) = replay_best(ReplayOptions::mapped())?;
 
-    ReplayCompare {
+    Ok(ReplayCompare {
         scale: scale_label.to_string(),
         iters,
         bytes,
@@ -265,7 +306,7 @@ pub fn replay_compare(
         mapped_seconds,
         mapped_speedup: streamed_seconds / mapped_seconds.max(f64::MIN_POSITIVE),
         bit_identical: dataset_divergence(&streamed, &mapped).is_none(),
-    }
+    })
 }
 
 /// Write the summary as pretty-printed JSON.

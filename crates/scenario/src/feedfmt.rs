@@ -43,9 +43,10 @@ use cellscope_signaling::columnar::{
     format::{check_segment, seal_segment, split_segments, HEADER_LEN},
     DecodeScratch, SegmentError, SegmentHeader, SegmentKind, ALL_DAYS,
 };
+use cellscope_signaling::export::{parse_line, write_line, JsonlRecord};
 use cellscope_signaling::{EventReader, FeedError, SignalingEvent};
 use std::fs;
-use std::io::{self, Write};
+use std::io;
 use std::path::Path;
 
 /// Binary events feed file name for a day.
@@ -304,7 +305,7 @@ pub struct ConvertSummary {
 /// Parse one JSONL feed of `T` records, fail-fast with 1-based line
 /// numbers — the converter refuses to launder a damaged feed into a
 /// clean-looking binary one.
-fn parse_jsonl_records<T: serde::Deserialize>(
+fn parse_jsonl_records<T: JsonlRecord>(
     text: &str,
     file: &str,
 ) -> Result<Vec<T>, ReplayError> {
@@ -314,7 +315,7 @@ fn parse_jsonl_records<T: serde::Deserialize>(
         if trimmed.is_empty() {
             continue;
         }
-        let rec = serde_json::from_str::<T>(trimmed).map_err(|e| ReplayError::Feed {
+        let rec = parse_line::<T>(trimmed).map_err(|e| ReplayError::Feed {
             file: file.to_string(),
             source: FeedError::Malformed { line: idx as u64 + 1, reason: e.to_string() },
         })?;
@@ -326,15 +327,12 @@ fn parse_jsonl_records<T: serde::Deserialize>(
 /// Serialize records as JSONL with the exact writer the exporter uses,
 /// so a binary→JSONL conversion reproduces exported files byte for
 /// byte.
-fn write_jsonl_records<T: serde::Serialize>(records: &[T]) -> io::Result<Vec<u8>> {
+fn write_jsonl_records<T: JsonlRecord>(records: &[T]) -> Vec<u8> {
     let mut out = Vec::new();
     for rec in records {
-        let line = serde_json::to_string(rec)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-        out.write_all(line.as_bytes())?;
-        out.write_all(b"\n")?;
+        write_line(rec, &mut out);
     }
-    Ok(out)
+    out
 }
 
 /// Convert one feed file; returns (src_len, dst_len).
@@ -348,7 +346,7 @@ fn convert_file<T, E, D>(
     decode: D,
 ) -> Result<(u64, u64), ReplayError>
 where
-    T: serde::Serialize,
+    T: JsonlRecord,
     E: FnOnce(&[T], &mut Vec<u8>) -> Result<(), SegmentError>,
     D: FnOnce(&[u8]) -> Result<Vec<T>, SegmentError>,
 {
@@ -376,7 +374,7 @@ where
                 file: src_name.to_string(),
                 source: FeedError::Segment(cause),
             })?;
-            write_jsonl_records(&records)?
+            write_jsonl_records(&records)
         }
     };
     let dst_len = out.len() as u64;
@@ -512,7 +510,7 @@ mod tests {
                     user_dl_throughput_mbps: f64::MIN_POSITIVE * (i as f64 + 1.0),
                     tti_utilization: (i as f64 / n as f64).min(0.999999),
                     voice_volume_mb: 7.0,
-                    voice_users: 0.0,
+                    voice_users: if i % 2 == 0 { 0.0 } else { -0.0 },
                     voice_ul_loss: 3.141592653589793,
                     voice_dl_loss: 1e300 / (i as f64 + 1.0),
                 },
@@ -531,6 +529,20 @@ mod tests {
         assert_eq!(header.kind, SegmentKind::Kpi);
         assert_eq!(header.day, 5);
         assert_eq!(out, records);
+    }
+
+    #[test]
+    fn kpi_jsonl_roundtrips_bit_exact() {
+        let records = kpi_records(96);
+        let text = String::from_utf8(write_jsonl_records(&records)).unwrap();
+        let back: Vec<KpiHourRecord> = parse_jsonl_records(&text, "kpi").unwrap();
+        assert_eq!(write_jsonl_records(&back), text.as_bytes());
+        // The segment holds `f64` bit patterns: equal segments are
+        // bit-equal records, `-0.0` included.
+        let (mut a, mut b) = (Vec::new(), Vec::new());
+        encode_kpi_into(5, &records, &mut a).unwrap();
+        encode_kpi_into(5, &back, &mut b).unwrap();
+        assert_eq!(a, b);
     }
 
     #[test]

@@ -81,6 +81,9 @@ use cellscope_radio::{Scheduler, SchedulerConfig};
 use cellscope_signaling::columnar::{
     self, DecodeScratch, SegmentError, SegmentStreamError, SegmentView,
 };
+use cellscope_signaling::export::{
+    parse_line, push_f64, push_u64, write_line, JsonlRecord, LineScanner,
+};
 use cellscope_signaling::{
     reconstruct_dwell_into, write_events_jsonl, EventGenerator, EventReader, FeedBounds,
     FeedError, FeedStats, MalformedPolicy, SignalingEvent,
@@ -131,6 +134,105 @@ pub struct VoiceDayRecord {
     pub off_net_voice_mb: f64,
 }
 
+impl JsonlRecord for KpiHourRecord {
+    fn write_json(&self, out: &mut Vec<u8>) {
+        let s = &self.sample;
+        out.extend_from_slice(br#"{"cell":"#);
+        push_u64(out, self.cell.into());
+        out.extend_from_slice(br#","day":"#);
+        push_u64(out, self.day.into());
+        out.extend_from_slice(br#","hour":"#);
+        push_u64(out, self.hour.into());
+        out.extend_from_slice(br#","sample":{"dl_volume_mb":"#);
+        push_f64(out, s.dl_volume_mb);
+        out.extend_from_slice(br#","ul_volume_mb":"#);
+        push_f64(out, s.ul_volume_mb);
+        out.extend_from_slice(br#","active_dl_users":"#);
+        push_f64(out, s.active_dl_users);
+        out.extend_from_slice(br#","connected_users":"#);
+        push_f64(out, s.connected_users);
+        out.extend_from_slice(br#","user_dl_throughput_mbps":"#);
+        push_f64(out, s.user_dl_throughput_mbps);
+        out.extend_from_slice(br#","tti_utilization":"#);
+        push_f64(out, s.tti_utilization);
+        out.extend_from_slice(br#","voice_volume_mb":"#);
+        push_f64(out, s.voice_volume_mb);
+        out.extend_from_slice(br#","voice_users":"#);
+        push_f64(out, s.voice_users);
+        out.extend_from_slice(br#","voice_ul_loss":"#);
+        push_f64(out, s.voice_ul_loss);
+        out.extend_from_slice(br#","voice_dl_loss":"#);
+        push_f64(out, s.voice_dl_loss);
+        out.extend_from_slice(b"}}");
+    }
+
+    fn scan_json(scan: &mut LineScanner<'_>) -> Option<KpiHourRecord> {
+        scan.literal(r#"{"cell":"#)?;
+        let cell = scan.uint()?;
+        scan.literal(r#","day":"#)?;
+        let day = scan.uint()?;
+        scan.literal(r#","hour":"#)?;
+        let hour = scan.uint()?;
+        scan.literal(r#","sample":{"dl_volume_mb":"#)?;
+        let dl_volume_mb = scan.f64()?;
+        scan.literal(r#","ul_volume_mb":"#)?;
+        let ul_volume_mb = scan.f64()?;
+        scan.literal(r#","active_dl_users":"#)?;
+        let active_dl_users = scan.f64()?;
+        scan.literal(r#","connected_users":"#)?;
+        let connected_users = scan.f64()?;
+        scan.literal(r#","user_dl_throughput_mbps":"#)?;
+        let user_dl_throughput_mbps = scan.f64()?;
+        scan.literal(r#","tti_utilization":"#)?;
+        let tti_utilization = scan.f64()?;
+        scan.literal(r#","voice_volume_mb":"#)?;
+        let voice_volume_mb = scan.f64()?;
+        scan.literal(r#","voice_users":"#)?;
+        let voice_users = scan.f64()?;
+        scan.literal(r#","voice_ul_loss":"#)?;
+        let voice_ul_loss = scan.f64()?;
+        scan.literal(r#","voice_dl_loss":"#)?;
+        let voice_dl_loss = scan.f64()?;
+        scan.literal("}}")?;
+        Some(KpiHourRecord {
+            cell,
+            day,
+            hour,
+            sample: HourlyKpiSample {
+                dl_volume_mb,
+                ul_volume_mb,
+                active_dl_users,
+                connected_users,
+                user_dl_throughput_mbps,
+                tti_utilization,
+                voice_volume_mb,
+                voice_users,
+                voice_ul_loss,
+                voice_dl_loss,
+            },
+        })
+    }
+}
+
+impl JsonlRecord for VoiceDayRecord {
+    fn write_json(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(br#"{"day":"#);
+        push_u64(out, self.day.into());
+        out.extend_from_slice(br#","off_net_voice_mb":"#);
+        push_f64(out, self.off_net_voice_mb);
+        out.push(b'}');
+    }
+
+    fn scan_json(scan: &mut LineScanner<'_>) -> Option<VoiceDayRecord> {
+        scan.literal(r#"{"day":"#)?;
+        let day = scan.uint()?;
+        scan.literal(r#","off_net_voice_mb":"#)?;
+        let off_net_voice_mb = scan.f64()?;
+        scan.literal("}")?;
+        Some(VoiceDayRecord { day, off_net_voice_mb })
+    }
+}
+
 /// Events feed file name for a day.
 pub fn events_file_name(day: u16) -> String {
     format!("events_d{day:03}.jsonl")
@@ -145,14 +247,6 @@ pub fn kpi_file_name(day: u16) -> String {
 pub const VOICE_FILE: &str = "voice_daily.jsonl";
 /// The feed-set manifest.
 pub const MANIFEST_FILE: &str = "manifest.json";
-
-/// Serialize one feed record to its JSONL line, mapping a (pathological
-/// but possible) serializer failure into `io::Error` so the export
-/// write path returns instead of panicking mid-export.
-fn to_json_line<T: Serialize>(record: &T) -> io::Result<String> {
-    serde_json::to_string(record)
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))
-}
 
 /// Export a configuration's feeds: per-day signaling events (every
 /// subscriber — probe-faithful; the study filter is the *consumer's*
@@ -192,6 +286,7 @@ pub fn export_feeds_in(
     let mut traj_buf = DayTrajectory::default();
     let mut events_buf: Vec<SignalingEvent> = Vec::new();
     let mut hours_buf: Vec<HourlyKpiSample> = Vec::with_capacity(24);
+    let mut line_buf: Vec<u8> = Vec::new();
     let mut voice_out = BufWriter::new(fs::File::create(dir.join(VOICE_FILE))?);
 
     for day in world.clock.days() {
@@ -224,6 +319,7 @@ pub fn export_feeds_in(
                 if write_err.is_some() {
                     return;
                 }
+                line_buf.clear();
                 for (hour, sample) in hours.iter().enumerate() {
                     let rec = KpiHourRecord {
                         cell,
@@ -231,15 +327,10 @@ pub fn export_feeds_in(
                         hour: hour as u8,
                         sample: *sample,
                     };
-                    let write = to_json_line(&rec).and_then(|line| {
-                        kpi_out
-                            .write_all(line.as_bytes())
-                            .and_then(|()| kpi_out.write_all(b"\n"))
-                    });
-                    if let Err(e) = write {
-                        write_err = Some(e);
-                        return;
-                    }
+                    write_line(&rec, &mut line_buf);
+                }
+                if let Err(e) = kpi_out.write_all(&line_buf) {
+                    write_err = Some(e);
                 }
             },
         );
@@ -248,10 +339,9 @@ pub fn export_feeds_in(
         }
         kpi_out.flush()?;
 
-        let vrec = VoiceDayRecord { day, off_net_voice_mb: voice };
-        let line = to_json_line(&vrec)?;
-        voice_out.write_all(line.as_bytes())?;
-        voice_out.write_all(b"\n")?;
+        line_buf.clear();
+        write_line(&VoiceDayRecord { day, off_net_voice_mb: voice }, &mut line_buf);
+        voice_out.write_all(&line_buf)?;
     }
     voice_out.flush()?;
 
@@ -1253,7 +1343,7 @@ fn replay_day(
                     stats.kpi.blank += 1;
                     continue;
                 }
-                let checked = serde_json::from_str::<KpiHourRecord>(trimmed)
+                let checked = parse_line::<KpiHourRecord>(trimmed)
                     .map_err(KpiReject::Parse)
                     .and_then(|r| match check_kpi(&r) {
                         Ok(()) => Ok(r),
@@ -1553,7 +1643,7 @@ fn read_voice_feed(
             Parse(serde_json::Error),
             DayOutOfRange(u16),
         }
-        let checked = serde_json::from_str::<VoiceDayRecord>(trimmed)
+        let checked = parse_line::<VoiceDayRecord>(trimmed)
             .map_err(VoiceReject::Parse)
             .and_then(|r| {
                 if r.day >= num_days {
@@ -1639,6 +1729,133 @@ pub fn dataset_divergence(a: &StudyDataset, b: &StudyDataset) -> Option<&'static
 mod tests {
     use super::*;
 
+    use proptest::prelude::*;
+
+    /// Every field of a KPI record as bits, so `-0.0` differs from `0.0`.
+    fn kpi_bits(r: &KpiHourRecord) -> Vec<u64> {
+        let s = &r.sample;
+        let mut bits = vec![r.cell as u64, r.day as u64, r.hour as u64];
+        bits.extend(
+            [
+                s.dl_volume_mb,
+                s.ul_volume_mb,
+                s.active_dl_users,
+                s.connected_users,
+                s.user_dl_throughput_mbps,
+                s.tti_utilization,
+                s.voice_volume_mb,
+                s.voice_users,
+                s.voice_ul_loss,
+                s.voice_dl_loss,
+            ]
+            .map(f64::to_bits),
+        );
+        bits
+    }
+
+    fn voice_bits(r: &VoiceDayRecord) -> Vec<u64> {
+        vec![r.day as u64, r.off_net_voice_mb.to_bits()]
+    }
+
+    /// The codec's reading of `line` is `serde_json::from_str`'s: the
+    /// same `Ok`/`Err`, bit-equal fields, the same error text.
+    fn assert_parse_parity<T: JsonlRecord + fmt::Debug>(line: &str, bits: fn(&T) -> Vec<u64>) {
+        match (parse_line::<T>(line), serde_json::from_str::<T>(line)) {
+            (Ok(a), Ok(b)) => assert_eq!(bits(&a), bits(&b), "{line}"),
+            (Err(a), Err(b)) => assert_eq!(a.to_string(), b.to_string(), "{line}"),
+            (a, b) => panic!("{line}: codec {a:?}, serde_json {b:?}"),
+        }
+    }
+
+    /// The codec writes `record` as `serde_json` does; a record it
+    /// reads back on the fast path is bit-equal.
+    fn assert_write_parity<T: JsonlRecord + Serialize>(record: &T, bits: fn(&T) -> Vec<u64>) {
+        let mut line = Vec::new();
+        write_line(record, &mut line);
+        let expect = serde_json::to_string(record).unwrap() + "\n";
+        assert_eq!(String::from_utf8(line).unwrap(), expect);
+        let line = expect.trim_end();
+        let mut scan = LineScanner::new(line);
+        if let Some(back) = T::scan_json(&mut scan) {
+            assert!(scan.at_end(), "{line}");
+            assert_eq!(bits(&back), bits(record), "{line}");
+        }
+    }
+
+    /// Non-canonical spellings of `line`: the value of `key` replaced by
+    /// each of a list of values, plus whitespace, reordered, escaped,
+    /// duplicated and trailing variants.
+    fn perturbations(line: &str, key: &str) -> Vec<String> {
+        const VALUES: [&str; 16] = [
+            "-0", "-0.0", "0", "-1", "007", "1e5", "1E-5", "2.", "1e400", "255",
+            "256", "65536", "4294967296", "18446744073709551616", "null", "\"1\"",
+        ];
+        let k = format!("\"{key}\":");
+        let at = line.find(&k).unwrap() + k.len();
+        let end = at + line[at..].find([',', '}']).unwrap();
+        let value = &line[at..end];
+        let body = &line[1..line.len() - 1];
+        let (first, rest) = body.split_once(',').unwrap();
+        let escaped = format!("\"\\u{:04x}{}\":", key.as_bytes()[0], &key[1..]);
+        let mut out: Vec<String> = VALUES
+            .iter()
+            .map(|v| format!("{}{v}{}", &line[..at], &line[end..]))
+            .collect();
+        out.extend([
+            line.replace(':', ": "),
+            line.replace(',', "\t,"),
+            format!("{{{rest},{first}}}"),
+            line.replacen(&k, &escaped, 1),
+            format!("{{{body},{k}{value}}}"),
+            format!("{{{k}7,{body}}}"),
+            format!("{line}x"),
+            format!("{line} "),
+            line[..line.len() - 1].to_string(),
+        ]);
+        out
+    }
+
+    /// Records at the edges of the `f64` writer: subnormal, `MAX`,
+    /// integer-valued, beyond `u64`, non-finite, `-0.0` and negative.
+    fn edge_kpi_records() -> Vec<KpiHourRecord> {
+        const EDGES: [f64; 12] = [
+            f64::MIN_POSITIVE / 4.0,
+            f64::MAX,
+            7.0,
+            0.0,
+            1e20,
+            -0.0,
+            f64::NAN,
+            f64::INFINITY,
+            -2.5,
+            0.1 + 0.2,
+            f64::MIN_POSITIVE,
+            1.0 / 3.0,
+        ];
+        (0..EDGES.len())
+            .map(|i| {
+                let v = |j: usize| EDGES[(i + j) % EDGES.len()];
+                KpiHourRecord {
+                    cell: if i % 2 == 0 { u32::MAX } else { i as u32 },
+                    day: if i % 3 == 0 { u16::MAX } else { 0 },
+                    hour: if i % 4 == 0 { u8::MAX } else { 23 },
+                    sample: HourlyKpiSample {
+                        dl_volume_mb: v(0),
+                        ul_volume_mb: v(1),
+                        active_dl_users: v(2),
+                        connected_users: v(3),
+                        user_dl_throughput_mbps: v(4),
+                        tti_utilization: v(5),
+                        voice_volume_mb: v(6),
+                        voice_users: v(7),
+                        voice_ul_loss: v(8),
+                        voice_dl_loss: v(9),
+                    },
+                }
+            })
+            .collect()
+    }
+
     #[test]
     fn kpi_record_roundtrips_exact_f64() {
         let rec = KpiHourRecord {
@@ -1653,22 +1870,105 @@ mod tests {
                 user_dl_throughput_mbps: f64::MIN_POSITIVE,
                 tti_utilization: 0.999999999999999,
                 voice_volume_mb: 7.0,
-                voice_users: 0.0,
+                voice_users: -0.0,
                 voice_ul_loss: 3.141592653589793,
                 voice_dl_loss: 1e300,
             },
         };
-        let line = serde_json::to_string(&rec).unwrap();
-        let back: KpiHourRecord = serde_json::from_str(&line).unwrap();
-        assert_eq!(back, rec);
+        let mut line = Vec::new();
+        write_line(&rec, &mut line);
+        let back: KpiHourRecord =
+            parse_line(std::str::from_utf8(&line).unwrap().trim_end()).unwrap();
+        assert_eq!(kpi_bits(&back), kpi_bits(&rec));
+    }
+
+    /// Write parity, a fast-path read back, and read parity on every
+    /// perturbation of `rec`'s line.
+    fn line_parity_kpi(rec: &KpiHourRecord) {
+        assert_write_parity(rec, kpi_bits);
+        let line = serde_json::to_string(rec).unwrap();
+        for key in ["cell", "day", "hour", "sample", "dl_volume_mb", "voice_dl_loss"] {
+            for variant in perturbations(&line, key) {
+                assert_parse_parity::<KpiHourRecord>(&variant, kpi_bits);
+            }
+        }
+    }
+
+    #[test]
+    fn kpi_codec_matches_serde_json_at_the_edges() {
+        for rec in edge_kpi_records() {
+            line_parity_kpi(&rec);
+        }
     }
 
     #[test]
     fn voice_record_roundtrips_exact_f64() {
-        let rec = VoiceDayRecord { day: 99, off_net_voice_mb: 0.1 + 0.7 };
-        let line = serde_json::to_string(&rec).unwrap();
-        let back: VoiceDayRecord = serde_json::from_str(&line).unwrap();
-        assert_eq!(back, rec);
+        for v in [0.1 + 0.7, -0.0, 0.0, 1e20, f64::MAX, f64::MIN_POSITIVE / 8.0, -3.5, f64::NAN] {
+            let rec = VoiceDayRecord { day: 99, off_net_voice_mb: v };
+            assert_write_parity(&rec, voice_bits);
+            let line = serde_json::to_string(&rec).unwrap();
+            if v.is_finite() {
+                let back: VoiceDayRecord = parse_line(&line).unwrap();
+                assert_eq!(voice_bits(&back), voice_bits(&rec), "{line}");
+            }
+            for key in ["day", "off_net_voice_mb"] {
+                for variant in perturbations(&line, key) {
+                    assert_parse_parity::<VoiceDayRecord>(&variant, voice_bits);
+                }
+            }
+        }
+    }
+
+    proptest! {
+        /// Arbitrary bit patterns in every `f64` field: the codec writes
+        /// what `serde_json` writes and reads every perturbation alike.
+        #[test]
+        fn kpi_codec_matches_serde_json(
+            ids in (0u32..u32::MAX, 0u16..u16::MAX, 0u8..u8::MAX),
+            bits in prop::collection::vec(0u64..u64::MAX, 10..11),
+        ) {
+            let f = |i: usize| f64::from_bits(bits[i]);
+            let rec = KpiHourRecord {
+                cell: ids.0,
+                day: ids.1,
+                hour: ids.2,
+                sample: HourlyKpiSample {
+                    dl_volume_mb: f(0),
+                    ul_volume_mb: f(1),
+                    active_dl_users: f(2),
+                    connected_users: f(3),
+                    user_dl_throughput_mbps: f(4),
+                    tti_utilization: f(5),
+                    voice_volume_mb: f(6),
+                    voice_users: f(7),
+                    voice_ul_loss: f(8),
+                    voice_dl_loss: f(9),
+                },
+            };
+            line_parity_kpi(&rec);
+            // The same record with every field made non-negative and
+            // finite takes the fast path.
+            let abs = |v: f64| if v.is_finite() { v.abs() } else { 1.5 };
+            let s = rec.sample;
+            let rec = KpiHourRecord {
+                sample: HourlyKpiSample {
+                    dl_volume_mb: abs(s.dl_volume_mb),
+                    ul_volume_mb: abs(s.ul_volume_mb),
+                    active_dl_users: abs(s.active_dl_users),
+                    connected_users: abs(s.connected_users),
+                    user_dl_throughput_mbps: abs(s.user_dl_throughput_mbps),
+                    tti_utilization: abs(s.tti_utilization),
+                    voice_volume_mb: abs(s.voice_volume_mb),
+                    voice_users: abs(s.voice_users),
+                    voice_ul_loss: abs(s.voice_ul_loss),
+                    voice_dl_loss: abs(s.voice_dl_loss),
+                },
+                ..rec
+            };
+            let line = serde_json::to_string(&rec).unwrap();
+            let fast = KpiHourRecord::scan_json(&mut LineScanner::new(&line));
+            prop_assert_eq!(fast.map(|r| kpi_bits(&r)), Some(kpi_bits(&rec)));
+        }
     }
 
     #[test]

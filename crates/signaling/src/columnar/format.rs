@@ -259,8 +259,12 @@ impl std::error::Error for SegmentError {}
 // CRC32 (IEEE 802.3, the zlib/PNG polynomial), table-driven. Vendored
 // rather than pulled in: the build is registry-free, and the whole
 // algorithm is smaller than a dependency line.
-const fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+//
+// Slicing-by-8: `table[k][b]` is the CRC of byte `b` followed by `k`
+// zero bytes, so eight independent lookups fold eight input bytes per
+// step. A byte at a time, the checksum was most of a segment decode.
+const fn crc32_tables() -> [[u32; 256]; 8] {
+    let mut table = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -269,19 +273,43 @@ const fn crc32_table() -> [u32; 256] {
             c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
             k += 1;
         }
-        table[i] = c;
+        table[0][i] = c;
+        i += 1;
+    }
+    let mut i = 0;
+    while i < 256 {
+        let mut k = 1;
+        while k < 8 {
+            let prev = table[k - 1][i];
+            table[k][i] = (prev >> 8) ^ table[0][(prev & 0xFF) as usize];
+            k += 1;
+        }
         i += 1;
     }
     table
 }
 
-static CRC32_TABLE: [u32; 256] = crc32_table();
+static CRC32_TABLES: [[u32; 256]; 8] = crc32_tables();
 
 /// CRC32 (IEEE) of a byte slice.
 pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC32_TABLES;
     let mut c = !0u32;
-    for &b in bytes {
-        c = CRC32_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    let mut chunks = bytes.chunks_exact(8);
+    for chunk in &mut chunks {
+        let lo = c ^ u32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
+        let hi = u32::from_le_bytes([chunk[4], chunk[5], chunk[6], chunk[7]]);
+        c = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in chunks.remainder() {
+        c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
     !c
 }
@@ -616,6 +644,24 @@ mod tests {
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
         assert_eq!(crc32(b"\x00"), 0xD202_EF8D);
+    }
+
+    #[test]
+    fn crc32_matches_the_bytewise_definition() {
+        let bytewise = |bytes: &[u8]| {
+            let mut c = !0u32;
+            for &b in bytes {
+                c = CRC32_TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+            }
+            !c
+        };
+        let data: Vec<u8> =
+            (0..300u32).map(|i| (i.wrapping_mul(2_654_435_761) >> 13) as u8).collect();
+        for start in 0..9 {
+            for end in start..data.len() {
+                assert_eq!(crc32(&data[start..end]), bytewise(&data[start..end]));
+            }
+        }
     }
 
     #[test]

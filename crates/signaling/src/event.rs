@@ -54,6 +54,22 @@ impl EventType {
         EventType::Detach,
     ];
 
+    /// The variant's name: its serde (and so JSONL) form.
+    pub fn name(self) -> &'static str {
+        match self {
+            EventType::Attach => "Attach",
+            EventType::Authentication => "Authentication",
+            EventType::SessionEstablishment => "SessionEstablishment",
+            EventType::DedicatedBearerEstablish => "DedicatedBearerEstablish",
+            EventType::DedicatedBearerDelete => "DedicatedBearerDelete",
+            EventType::TrackingAreaUpdate => "TrackingAreaUpdate",
+            EventType::IdleTransition => "IdleTransition",
+            EventType::ServiceRequest => "ServiceRequest",
+            EventType::Handover => "Handover",
+            EventType::Detach => "Detach",
+        }
+    }
+
     /// Whether this event implies the UE changed serving cell.
     pub fn is_mobility_event(self) -> bool {
         matches!(self, EventType::TrackingAreaUpdate | EventType::Handover)

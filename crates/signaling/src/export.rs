@@ -21,8 +21,28 @@
 //!
 //! [`read_events_jsonl`] is a thin fail-fast wrapper that collects the
 //! iterator into a `Vec` — convenient for tests and small feeds.
+//!
+//! # The line codec
+//!
+//! Every feed line of every record kind (events here, KPI and voice
+//! records in the scenario crate) goes through one typed codec,
+//! [`JsonlRecord`]: [`write_line`] appends the record's line to a
+//! reused buffer, byte for byte what `serde_json::to_string` writes,
+//! and [`parse_line`] reads one back. The reader has a fast path and an
+//! arbiter:
+//!
+//! * the **canonical** line — the writer's own output: declared key
+//!   order, no whitespace, no escapes, no leading `-` — is scanned
+//!   straight into the struct without allocating, using the number
+//!   spans and `str::parse` calls of the generic parser;
+//! * any other line, and any canonical line whose values the generic
+//!   parser would reject, is declined to `serde_json::from_str`, which
+//!   decides.
+//!
+//! So every accept/reject decision, value bit and error text is the
+//! generic parser's; the codec changes only what a feed line costs.
 
-use crate::event::SignalingEvent;
+use crate::event::{EventType, SignalingEvent};
 use std::fmt;
 use std::io::{self, BufRead, Write};
 
@@ -31,13 +51,220 @@ pub fn write_events_jsonl<W: Write>(
     mut writer: W,
     events: &[SignalingEvent],
 ) -> io::Result<()> {
+    let mut line = Vec::with_capacity(160);
     for event in events {
-        let line = serde_json::to_string(event)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
-        writer.write_all(line.as_bytes())?;
-        writer.write_all(b"\n")?;
+        line.clear();
+        write_line(event, &mut line);
+        writer.write_all(&line)?;
     }
     Ok(())
+}
+
+/// A feed record with a typed JSONL line (see the module docs).
+///
+/// A line is the record's compact `serde_json` object: struct fields
+/// in declaration order, newtypes as their inner value, unit variants
+/// as their name, integers in decimal and `f64`s as [`push_f64`]
+/// writes them.
+pub trait JsonlRecord: serde::Deserialize {
+    /// Append the record's JSON object (no newline) to `out`.
+    fn write_json(&self, out: &mut Vec<u8>);
+
+    /// Scan a canonical line into a record; `None` declines the line to
+    /// the generic parser. [`parse_line`] checks that the object ends
+    /// the line.
+    fn scan_json(scan: &mut LineScanner<'_>) -> Option<Self>;
+}
+
+/// Append `record`'s feed line, newline included, to `out`.
+pub fn write_line<T: JsonlRecord>(record: &T, out: &mut Vec<u8>) {
+    record.write_json(out);
+    out.push(b'\n');
+}
+
+/// Parse one trimmed, non-blank feed line: the canonical fast path, or
+/// else `serde_json::from_str`, whose decision and error stand.
+pub fn parse_line<T: JsonlRecord>(line: &str) -> Result<T, serde_json::Error> {
+    let mut scan = LineScanner::new(line);
+    match T::scan_json(&mut scan) {
+        Some(record) if scan.at_end() => Ok(record),
+        _ => serde_json::from_str(line),
+    }
+}
+
+/// A cursor over one feed line for [`JsonlRecord::scan_json`]. Every
+/// method consumes one canonical token and returns `None` — decline —
+/// on anything else.
+pub struct LineScanner<'a> {
+    line: &'a str,
+    pos: usize,
+}
+
+impl<'a> LineScanner<'a> {
+    /// A scanner at the start of `line`.
+    pub fn new(line: &'a str) -> LineScanner<'a> {
+        LineScanner { line, pos: 0 }
+    }
+
+    /// Whether the whole line has been consumed.
+    pub fn at_end(&self) -> bool {
+        self.pos == self.line.len()
+    }
+
+    /// Consume exactly `text`: structure and a key, as in `,"day":`.
+    pub fn literal(&mut self, text: &str) -> Option<()> {
+        let rest = &self.line.as_bytes()[self.pos..];
+        rest.starts_with(text.as_bytes()).then(|| self.pos += text.len())
+    }
+
+    /// The span the generic parser reads as one number — digits and
+    /// `.eE+-` — and whether it holds a non-digit (the parser's
+    /// `is_float`). Declines a span that does not start with a digit.
+    fn number(&mut self) -> Option<(&'a str, bool)> {
+        let bytes = self.line.as_bytes();
+        let start = self.pos;
+        if !bytes.get(start)?.is_ascii_digit() {
+            return None;
+        }
+        let mut is_float = false;
+        let mut end = start + 1;
+        while let Some(&c) = bytes.get(end) {
+            match c {
+                b'0'..=b'9' => {}
+                b'.' | b'e' | b'E' | b'+' | b'-' => is_float = true,
+                _ => break,
+            }
+            end += 1;
+        }
+        self.pos = end;
+        Some((&self.line[start..end], is_float))
+    }
+
+    /// An unsigned integer field: `u64` parse, then the range check.
+    pub fn uint<T: TryFrom<u64>>(&mut self) -> Option<T> {
+        match self.number()? {
+            (text, false) => T::try_from(text.parse::<u64>().ok()?).ok(),
+            (_, true) => None,
+        }
+    }
+
+    /// An `f64` field: an integer span that fits `u64` converts from it,
+    /// any other span parses as `f64`.
+    pub fn f64(&mut self) -> Option<f64> {
+        let (text, is_float) = self.number()?;
+        if !is_float {
+            if let Ok(v) = text.parse::<u64>() {
+                return Some(v as f64);
+            }
+        }
+        text.parse::<f64>().ok()
+    }
+
+    /// A `bool` field.
+    pub fn bool(&mut self) -> Option<bool> {
+        if self.literal("true").is_some() {
+            Some(true)
+        } else {
+            self.literal("false").map(|()| false)
+        }
+    }
+
+    /// A string without escapes or control characters.
+    pub fn str(&mut self) -> Option<&'a str> {
+        self.literal("\"")?;
+        let start = self.pos;
+        let len = self.line.as_bytes()[start..]
+            .iter()
+            .position(|&c| c == b'"' || c == b'\\' || c < 0x20)?;
+        self.pos = start + len;
+        self.literal("\"")?;
+        Some(&self.line[start..start + len])
+    }
+}
+
+/// Append an unsigned integer in decimal.
+pub fn push_u64(out: &mut Vec<u8>, mut v: u64) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    out.extend_from_slice(&digits[at..]);
+}
+
+/// Append an `f64` as `serde_json` writes it: shortest round-trip
+/// decimal, `-0.0` for negative zero, `null` when not finite.
+pub fn push_f64(out: &mut Vec<u8>, v: f64) {
+    if !v.is_finite() {
+        out.extend_from_slice(b"null");
+    } else if v == 0.0 && v.is_sign_negative() {
+        out.extend_from_slice(b"-0.0");
+    } else {
+        write!(out, "{v}").expect("writing to a Vec<u8> cannot fail");
+    }
+}
+
+impl JsonlRecord for SignalingEvent {
+    fn write_json(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(br#"{"anon_id":"#);
+        push_u64(out, self.anon_id);
+        out.extend_from_slice(br#","mcc":"#);
+        push_u64(out, self.mcc.into());
+        out.extend_from_slice(br#","mnc":"#);
+        push_u64(out, self.mnc.into());
+        out.extend_from_slice(br#","tac":"#);
+        push_u64(out, self.tac.0.into());
+        out.extend_from_slice(br#","cell":"#);
+        push_u64(out, self.cell.0.into());
+        out.extend_from_slice(br#","day":"#);
+        push_u64(out, self.day.into());
+        out.extend_from_slice(br#","minute":"#);
+        push_u64(out, self.minute.into());
+        out.extend_from_slice(br#","event":""#);
+        out.extend_from_slice(self.event.name().as_bytes());
+        out.extend_from_slice(br#"","success":"#);
+        out.extend_from_slice(if self.success { b"true" } else { b"false" });
+        out.push(b'}');
+    }
+
+    fn scan_json(scan: &mut LineScanner<'_>) -> Option<SignalingEvent> {
+        scan.literal(r#"{"anon_id":"#)?;
+        let anon_id = scan.uint()?;
+        scan.literal(r#","mcc":"#)?;
+        let mcc = scan.uint()?;
+        scan.literal(r#","mnc":"#)?;
+        let mnc = scan.uint()?;
+        scan.literal(r#","tac":"#)?;
+        let tac = scan.uint()?;
+        scan.literal(r#","cell":"#)?;
+        let cell = scan.uint()?;
+        scan.literal(r#","day":"#)?;
+        let day = scan.uint()?;
+        scan.literal(r#","minute":"#)?;
+        let minute = scan.uint()?;
+        scan.literal(r#","event":"#)?;
+        let name = scan.str()?;
+        let event = EventType::ALL.into_iter().find(|e| e.name() == name)?;
+        scan.literal(r#","success":"#)?;
+        let success = scan.bool()?;
+        scan.literal("}")?;
+        Some(SignalingEvent {
+            anon_id,
+            mcc,
+            mnc,
+            tac: crate::tac::TacCode(tac),
+            cell: cellscope_radio::CellId(cell),
+            day,
+            minute,
+            event,
+            success,
+        })
+    }
 }
 
 /// What a reader does when it hits a line it cannot turn into a valid
@@ -269,7 +496,7 @@ impl<R: BufRead> EventReader<R> {
             Parse(serde_json::Error),
             Bounds(BoundsViolation),
         }
-        let checked = serde_json::from_str::<SignalingEvent>(line)
+        let checked = parse_line::<SignalingEvent>(line)
             .map_err(Reject::Parse)
             .and_then(|ev| match &self.bounds {
                 Some(b) => b.check(&ev).map(|()| ev).map_err(Reject::Bounds),
