@@ -511,7 +511,7 @@ mod tests {
                     tti_utilization: (i as f64 / n as f64).min(0.999999),
                     voice_volume_mb: 7.0,
                     voice_users: if i % 2 == 0 { 0.0 } else { -0.0 },
-                    voice_ul_loss: 3.141592653589793,
+                    voice_ul_loss: std::f64::consts::PI,
                     voice_dl_loss: 1e300 / (i as f64 + 1.0),
                 },
             })

@@ -88,13 +88,13 @@ use cellscope_signaling::{
     reconstruct_dwell_into, write_events_jsonl, EventGenerator, EventReader, FeedBounds,
     FeedError, FeedStats, MalformedPolicy, SignalingEvent,
 };
-use cellscope_traffic::DayLoadGrid;
+use cellscope_traffic::{DayLoadGrid, LoadGenerator};
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::fs;
 use std::io::{self, BufWriter, Write};
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 /// Feed-set metadata, written next to the feeds as `manifest.json`.
@@ -263,58 +263,124 @@ pub fn export_feeds_in(
     world: &World,
     dir: &Path,
 ) -> io::Result<FeedManifest> {
-    if !config.use_event_reconstruction {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidInput,
-            "feed export requires use_event_reconstruction: the replay \
-             path sees events, never trajectories",
-        ));
-    }
-    fs::create_dir_all(dir)?;
-    let mut trajgen =
-        TrajectoryGenerator::new(&world.geo, &world.behavior, world.clock, config.seed);
-    let mut eventgen = EventGenerator::new(
-        &world.topo,
-        &world.catalog,
-        world.anonymizer,
-        config.events,
-    );
-    let scale = run::calibrate_traffic_scale(config, world);
-    let loadgen = run::load_generator(config, scale);
-    let scheduler = Scheduler::new(SchedulerConfig::default());
-    let mut grid = DayLoadGrid::new(world.topo.cells().len());
-    let mut traj_buf = DayTrajectory::default();
-    let mut events_buf: Vec<SignalingEvent> = Vec::new();
-    let mut hours_buf: Vec<HourlyKpiSample> = Vec::with_capacity(24);
-    let mut line_buf: Vec<u8> = Vec::new();
-    let mut voice_out = BufWriter::new(fs::File::create(dir.join(VOICE_FILE))?);
-
+    let mut exporter = FeedExporter::new(config, world, dir)?;
     for day in world.clock.days() {
+        exporter.export_day(day)?;
+    }
+    exporter.write_manifest()?;
+    Ok(exporter.manifest)
+}
+
+/// The feed writer behind [`export_feeds_in`], one day at a time.
+///
+/// [`FeedExporter::export_day`] writes a day's events and KPI files and
+/// appends its voice line; [`FeedExporter::write_manifest`] writes the
+/// manifest. Days must be exported in clock order, each once: the voice
+/// feed is appended to in call order. Paired with
+/// [`replay_study_staged`], a caller can replay a feed set while it is
+/// being exported, holding a day or two of feed files on disk instead
+/// of the whole set.
+pub struct FeedExporter<'w> {
+    world: &'w World,
+    dir: PathBuf,
+    trajgen: TrajectoryGenerator<'w>,
+    eventgen: EventGenerator<'w>,
+    loadgen: LoadGenerator,
+    scheduler: Scheduler,
+    grid: DayLoadGrid,
+    traj_buf: DayTrajectory,
+    events_buf: Vec<SignalingEvent>,
+    hours_buf: Vec<HourlyKpiSample>,
+    line_buf: Vec<u8>,
+    voice_out: fs::File,
+    manifest: FeedManifest,
+}
+
+impl<'w> FeedExporter<'w> {
+    /// Create `dir` and the (empty) voice feed; no day is written yet.
+    pub fn new(
+        config: &ScenarioConfig,
+        world: &'w World,
+        dir: &Path,
+    ) -> io::Result<FeedExporter<'w>> {
+        if !config.use_event_reconstruction {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                "feed export requires use_event_reconstruction: the replay \
+                 path sees events, never trajectories",
+            ));
+        }
+        fs::create_dir_all(dir)?;
+        let scale = run::calibrate_traffic_scale(config, world);
+        Ok(FeedExporter {
+            world,
+            dir: dir.to_path_buf(),
+            trajgen: TrajectoryGenerator::new(
+                &world.geo,
+                &world.behavior,
+                world.clock,
+                config.seed,
+            ),
+            eventgen: EventGenerator::new(
+                &world.topo,
+                &world.catalog,
+                world.anonymizer,
+                config.events,
+            ),
+            loadgen: run::load_generator(config, scale),
+            scheduler: Scheduler::new(SchedulerConfig::default()),
+            grid: DayLoadGrid::new(world.topo.cells().len()),
+            traj_buf: DayTrajectory::default(),
+            events_buf: Vec::new(),
+            hours_buf: Vec::with_capacity(24),
+            line_buf: Vec::new(),
+            voice_out: fs::File::create(dir.join(VOICE_FILE))?,
+            manifest: FeedManifest {
+                seed: config.seed,
+                num_days: world.num_days() as u16,
+                num_cells: world.topo.cells().len() as u32,
+                num_subscribers: world.population.len() as u64,
+                traffic_scale: scale,
+            },
+        })
+    }
+
+    /// The manifest of the feed set being written.
+    pub fn manifest(&self) -> &FeedManifest {
+        &self.manifest
+    }
+
+    /// Write `day`'s events and KPI feed files and append its line to
+    /// the voice feed.
+    pub fn export_day(&mut self, day: u16) -> io::Result<()> {
+        let world = self.world;
         // Signaling events, one contiguous run per subscriber, in
         // subscriber order — the order replay ingests in.
         let mut ev_out =
-            BufWriter::new(fs::File::create(dir.join(events_file_name(day)))?);
+            BufWriter::new(fs::File::create(self.dir.join(events_file_name(day)))?);
         for sub in world.population.subscribers() {
-            trajgen.generate_into(sub, day, &mut traj_buf);
-            eventgen.generate_into(sub, &traj_buf, &mut events_buf);
-            write_events_jsonl(&mut ev_out, &events_buf)?;
+            self.trajgen.generate_into(sub, day, &mut self.traj_buf);
+            self.eventgen
+                .generate_into(sub, &self.traj_buf, &mut self.events_buf);
+            write_events_jsonl(&mut ev_out, &self.events_buf)?;
         }
         ev_out.flush()?;
 
         // Hourly KPI samples for the day's reporting cells (the same
         // set phase B keeps), 24 consecutive lines per cell.
         let mut kpi_out =
-            BufWriter::new(fs::File::create(dir.join(kpi_file_name(day)))?);
+            BufWriter::new(fs::File::create(self.dir.join(kpi_file_name(day)))?);
         let mut write_err: Option<io::Error> = None;
+        let line_buf = &mut self.line_buf;
         let voice = run::simulate_day_kpi(
             world,
-            &mut trajgen,
-            &loadgen,
-            &scheduler,
-            &mut grid,
+            &mut self.trajgen,
+            &self.loadgen,
+            &self.scheduler,
+            &mut self.grid,
             day,
-            &mut traj_buf,
-            &mut hours_buf,
+            &mut self.traj_buf,
+            &mut self.hours_buf,
             |cell, hours| {
                 if write_err.is_some() {
                     return;
@@ -327,9 +393,9 @@ pub fn export_feeds_in(
                         hour: hour as u8,
                         sample: *sample,
                     };
-                    write_line(&rec, &mut line_buf);
+                    write_line(&rec, line_buf);
                 }
-                if let Err(e) = kpi_out.write_all(&line_buf) {
+                if let Err(e) = kpi_out.write_all(line_buf) {
                     write_err = Some(e);
                 }
             },
@@ -340,22 +406,17 @@ pub fn export_feeds_in(
         kpi_out.flush()?;
 
         line_buf.clear();
-        write_line(&VoiceDayRecord { day, off_net_voice_mb: voice }, &mut line_buf);
-        voice_out.write_all(&line_buf)?;
+        write_line(&VoiceDayRecord { day, off_net_voice_mb: voice }, line_buf);
+        self.voice_out.write_all(line_buf)
     }
-    voice_out.flush()?;
 
-    let manifest = FeedManifest {
-        seed: config.seed,
-        num_days: world.num_days() as u16,
-        num_cells: world.topo.cells().len() as u32,
-        num_subscribers: world.population.len() as u64,
-        traffic_scale: scale,
-    };
-    let manifest_json = serde_json::to_string_pretty(&manifest)
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-    fs::write(dir.join(MANIFEST_FILE), manifest_json)?;
-    Ok(manifest)
+    /// Write `manifest.json`. [`export_feeds_in`] writes it after the
+    /// last day, so a complete manifest follows a complete feed set.
+    pub fn write_manifest(&self) -> io::Result<()> {
+        let manifest_json = serde_json::to_string_pretty(&self.manifest)
+            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
+        fs::write(self.dir.join(MANIFEST_FILE), manifest_json)
+    }
 }
 
 /// How the reader stage gets `.csb` feed bytes to the decoders.
@@ -780,6 +841,23 @@ pub fn replay_study_with(
     rcfg: &ReplayConfig,
     exec: &mut Executor,
 ) -> Result<(StudyDataset, ReplayReport), ReplayError> {
+    replay_study_staged(config, world, dir, rcfg, exec, |_| Ok(()))
+}
+
+/// [`replay_study_with`] that calls `stage(day)` in the reader stage
+/// just before it opens `day`'s events and KPI files; the voice feed is
+/// read after the last day. With a [`FeedExporter`] behind `stage`, a
+/// feed set is replayed while it is written: export the day, remove the
+/// day already read, and only a day or two of feed files is ever on
+/// disk. An error from `stage` ends the replay as [`ReplayError::Io`].
+pub fn replay_study_staged(
+    config: &ScenarioConfig,
+    world: &World,
+    dir: &Path,
+    rcfg: &ReplayConfig,
+    exec: &mut Executor,
+    mut stage: impl FnMut(u16) -> io::Result<()>,
+) -> Result<(StudyDataset, ReplayReport), ReplayError> {
     if !config.use_event_reconstruction {
         return Err(ReplayError::Manifest(
             "replay requires use_event_reconstruction".to_string(),
@@ -848,6 +926,10 @@ pub fn replay_study_with(
                 return None;
             }
             let day = days.next()?;
+            if let Err(e) = stage(day) {
+                read_err = Some(ReplayError::Io(e));
+                return None;
+            }
             let (events_name, events_feed) = match read_day_feed(
                 dir,
                 events_bin_name(day),
@@ -1871,7 +1953,7 @@ mod tests {
                 tti_utilization: 0.999999999999999,
                 voice_volume_mb: 7.0,
                 voice_users: -0.0,
-                voice_ul_loss: 3.141592653589793,
+                voice_ul_loss: std::f64::consts::PI,
                 voice_dl_loss: 1e300,
             },
         };

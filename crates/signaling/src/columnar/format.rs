@@ -256,13 +256,21 @@ impl fmt::Display for SegmentError {
 
 impl std::error::Error for SegmentError {}
 
-// CRC32 (IEEE 802.3, the zlib/PNG polynomial), table-driven. Vendored
-// rather than pulled in: the build is registry-free, and the whole
-// algorithm is smaller than a dependency line.
+// CRC32 (IEEE 802.3, the zlib/PNG polynomial). Vendored rather than
+// pulled in: the build is registry-free.
 //
+// Two kernels give the same values. On x86-64 CPUs with PCLMULQDQ,
+// `clmul::fold` reduces whole 16-byte blocks by carry-less
+// multiplication; the bytes it leaves over, inputs under 64 bytes and
+// every input on other CPUs go through slicing-by-8.
+
+/// The reflected IEEE polynomial: bit `31 - i` is the coefficient of
+/// `x^i` (the `x^32` term is implied).
+const CRC32_POLY: u32 = 0xEDB8_8320;
+
 // Slicing-by-8: `table[k][b]` is the CRC of byte `b` followed by `k`
 // zero bytes, so eight independent lookups fold eight input bytes per
-// step. A byte at a time, the checksum was most of a segment decode.
+// step.
 const fn crc32_tables() -> [[u32; 256]; 8] {
     let mut table = [[0u32; 256]; 8];
     let mut i = 0;
@@ -270,7 +278,7 @@ const fn crc32_tables() -> [[u32; 256]; 8] {
         let mut c = i as u32;
         let mut k = 0;
         while k < 8 {
-            c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
+            c = if c & 1 != 0 { CRC32_POLY ^ (c >> 1) } else { c >> 1 };
             k += 1;
         }
         table[0][i] = c;
@@ -293,8 +301,23 @@ static CRC32_TABLES: [[u32; 256]; 8] = crc32_tables();
 
 /// CRC32 (IEEE) of a byte slice.
 pub fn crc32(bytes: &[u8]) -> u32 {
+    #[cfg(target_arch = "x86_64")]
+    if bytes.len() >= clmul::MIN_LEN
+        && is_x86_feature_detected!("pclmulqdq")
+        && is_x86_feature_detected!("sse4.1")
+    {
+        // SAFETY: `fold` is compiled for pclmulqdq, sse2 and sse4.1;
+        // the first two were detected just above, and sse2 is part of
+        // every x86-64 CPU.
+        let (state, tail) = unsafe { clmul::fold(!0, bytes) };
+        return !slicing_by_8(state, tail);
+    }
+    !slicing_by_8(!0, bytes)
+}
+
+/// Advance the CRC register `c` (not inverted) over `bytes`.
+fn slicing_by_8(mut c: u32, bytes: &[u8]) -> u32 {
     let t = &CRC32_TABLES;
-    let mut c = !0u32;
     let mut chunks = bytes.chunks_exact(8);
     for chunk in &mut chunks {
         let lo = c ^ u32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
@@ -311,7 +334,98 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     for &b in chunks.remainder() {
         c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
-    !c
+    c
+}
+
+/// CRC32 by carry-less multiplication (PCLMULQDQ folding, as in
+/// Gopal et al., "Fast CRC Computation for Generic Polynomials Using
+/// PCLMULQDQ Instruction", Intel, 2009, bit-reflected variant).
+///
+/// Four 128-bit lanes each take every fourth 16-byte block: a lane is
+/// carried 64 bytes forward by multiplying its halves by `x^544` and
+/// `x^480` mod P and adding the next block. The lanes then fold into
+/// one (`x^160`, `x^96`), which takes the remaining whole blocks, is
+/// narrowed to 64 bits (`x^96`, `x^64`), and a Barrett reduction
+/// (P′, μ) leaves the 32-bit register. Every constant is bit-reflected
+/// and shifted left by one, so a product lands where the reflected
+/// register expects it; `derived_constants_match_the_polynomial`
+/// recomputes them from `CRC32_POLY`.
+#[cfg(target_arch = "x86_64")]
+mod clmul {
+    use std::arch::x86_64::*;
+
+    /// Shortest input worth folding: one block per lane.
+    pub(super) const MIN_LEN: usize = 64;
+
+    pub(super) const K1: i64 = 0x1_5444_2bd4; // x^(4*128+32) mod P
+    pub(super) const K2: i64 = 0x1_c6e4_1596; // x^(4*128-32) mod P
+    pub(super) const K3: i64 = 0x1_7519_97d0; // x^(128+32) mod P
+    pub(super) const K4: i64 = 0x0_ccaa_009e; // x^(128-32) mod P
+    pub(super) const K5: i64 = 0x1_63cd_6124; // x^64 mod P
+    pub(super) const P_PRIME: i64 = 0x1_DB71_0641; // P itself
+    pub(super) const MU: i64 = 0x1_F701_1641; // x^64 div P
+
+    /// Advance the CRC register `state` (not inverted) over the whole
+    /// 16-byte blocks of `bytes`, which holds at least [`MIN_LEN`]
+    /// bytes, and return it with the 0–15 bytes left over.
+    ///
+    /// # Safety
+    ///
+    /// Calling it is `unsafe` outside code built for these target
+    /// features: the caller must have checked that the CPU has them.
+    #[target_feature(enable = "pclmulqdq,sse2,sse4.1")]
+    pub(super) fn fold(state: u32, bytes: &[u8]) -> (u32, &[u8]) {
+        let block = |b: &[u8]| {
+            let lo = i64::from_le_bytes(b[..8].try_into().expect("8 bytes"));
+            let hi = i64::from_le_bytes(b[8..16].try_into().expect("8 bytes"));
+            _mm_set_epi64x(hi, lo)
+        };
+        // a.lo·k.lo + a.hi·k.hi + b: moves `a` forward by the distance
+        // the pair `k` encodes, onto `b`.
+        let carry = |a: __m128i, b: __m128i, k: __m128i| {
+            let lo = _mm_clmulepi64_si128::<0x00>(a, k);
+            let hi = _mm_clmulepi64_si128::<0x11>(a, k);
+            _mm_xor_si128(_mm_xor_si128(lo, hi), b)
+        };
+
+        let mut quads = bytes.chunks_exact(64);
+        let first = quads.next().expect("at least MIN_LEN bytes");
+        let mut lanes = [0, 1, 2, 3].map(|i| block(&first[16 * i..]));
+        lanes[0] = _mm_xor_si128(lanes[0], _mm_cvtsi32_si128(state as i32));
+        let k1k2 = _mm_set_epi64x(K2, K1);
+        for quad in &mut quads {
+            for (i, lane) in lanes.iter_mut().enumerate() {
+                *lane = carry(*lane, block(&quad[16 * i..]), k1k2);
+            }
+        }
+
+        let k3k4 = _mm_set_epi64x(K4, K3);
+        let mut x = lanes[0];
+        for &lane in &lanes[1..] {
+            x = carry(x, lane, k3k4);
+        }
+        let mut blocks = quads.remainder().chunks_exact(16);
+        for b in &mut blocks {
+            x = carry(x, block(b), k3k4);
+        }
+
+        // 128 → 64 bits: the low half times x^96, plus the high half;
+        // then the low 32 bits times x^64, plus the rest.
+        let low32 = _mm_set_epi32(0, 0, 0, -1);
+        let x = _mm_xor_si128(_mm_clmulepi64_si128::<0x10>(x, k3k4), _mm_srli_si128::<8>(x));
+        let x = _mm_xor_si128(
+            _mm_clmulepi64_si128::<0x00>(_mm_and_si128(x, low32), _mm_set_epi64x(0, K5)),
+            _mm_srli_si128::<4>(x),
+        );
+
+        // Barrett: T1 = (R mod x^32)·μ, T2 = (T1 mod x^32)·P′, and the
+        // remainder is the upper 32 bits of R + T2.
+        let p_mu = _mm_set_epi64x(MU, P_PRIME);
+        let t1 = _mm_clmulepi64_si128::<0x10>(_mm_and_si128(x, low32), p_mu);
+        let t2 = _mm_clmulepi64_si128::<0x00>(_mm_and_si128(t1, low32), p_mu);
+        let state = _mm_extract_epi32::<1>(_mm_xor_si128(x, t2)) as u32;
+        (state, blocks.remainder())
+    }
 }
 
 fn u16_le(b: &[u8], at: usize) -> u16 {
@@ -646,22 +760,103 @@ mod tests {
         assert_eq!(crc32(b"\x00"), 0xD202_EF8D);
     }
 
-    #[test]
-    fn crc32_matches_the_bytewise_definition() {
-        let bytewise = |bytes: &[u8]| {
-            let mut c = !0u32;
-            for &b in bytes {
-                c = CRC32_TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
-            }
-            !c
-        };
-        let data: Vec<u8> =
-            (0..300u32).map(|i| (i.wrapping_mul(2_654_435_761) >> 13) as u8).collect();
-        for start in 0..9 {
-            for end in start..data.len() {
-                assert_eq!(crc32(&data[start..end]), bytewise(&data[start..end]));
+    /// The CRC register advanced one byte at a time, straight from
+    /// the polynomial: the definition both kernels are held to.
+    fn bytewise(bytes: &[u8]) -> u32 {
+        let mut c = !0u32;
+        for &b in bytes {
+            c ^= b as u32;
+            for _ in 0..8 {
+                c = if c & 1 != 0 { CRC32_POLY ^ (c >> 1) } else { c >> 1 };
             }
         }
+        !c
+    }
+
+    /// Deterministic pseudo-random bytes (splitmix64).
+    fn noise(len: usize, seed: u64) -> Vec<u8> {
+        let mut s = seed;
+        let mut out = Vec::with_capacity(len + 8);
+        while out.len() < len {
+            s = s.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = s;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            out.extend_from_slice(&(z ^ (z >> 31)).to_le_bytes());
+        }
+        out.truncate(len);
+        out
+    }
+
+    #[test]
+    fn crc32_matches_the_bytewise_definition() {
+        // Every length across the fold's minimum, its 64-byte steps and
+        // its 16-byte tail, at every alignment within a block.
+        let data = noise(1024 + 16, 1);
+        for start in 0..16 {
+            for len in 0..=1024 {
+                let bytes = &data[start..start + len];
+                assert_eq!(crc32(bytes), bytewise(bytes), "offset {start} length {len}");
+            }
+        }
+    }
+
+    #[test]
+    fn crc32_matches_the_bytewise_definition_on_large_buffers() {
+        for (len, seed) in [(1 << 21 | 1, 2), (3 << 20 | 0x3F, 3), ((5 << 20) - 7, 4)] {
+            let data = noise(len, seed);
+            assert_eq!(crc32(&data), bytewise(&data), "length {len}");
+        }
+    }
+
+    #[test]
+    fn slicing_by_8_matches_the_bytewise_definition() {
+        // The portable kernel on its own: on a CPU with PCLMULQDQ,
+        // `crc32` hands it only inputs under 64 bytes and fold tails.
+        let data = noise(1024 + 16, 5);
+        for start in 0..9 {
+            for len in (0..=1024).step_by(7) {
+                let bytes = &data[start..start + len];
+                assert_eq!(!slicing_by_8(!0, bytes), bytewise(bytes), "offset {start} length {len}");
+            }
+        }
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn derived_constants_match_the_polynomial() {
+        // P in normal bit order: bit i is the coefficient of x^i.
+        let p = (CRC32_POLY.reverse_bits() as u64) | 1 << 32;
+        let x_pow_mod_p = |n: u32| {
+            let mut r = 1u64;
+            for _ in 0..n {
+                r <<= 1;
+                if r & 1 << 32 != 0 {
+                    r ^= p;
+                }
+            }
+            r as u32
+        };
+        // A 32-bit remainder, reflected and shifted left by one.
+        let folding = |n: u32| (x_pow_mod_p(n).reverse_bits() as i64) << 1;
+        // A 33-bit polynomial, reflected.
+        let reflect33 = |v: u64| (v.reverse_bits() >> 31) as i64;
+        // μ = x^64 div P, by long division.
+        let mut rem = 1u128 << 64;
+        let mut quotient = 0u64;
+        for bit in (0..=32).rev() {
+            if rem & 1 << (bit + 32) != 0 {
+                rem ^= (p as u128) << bit;
+                quotient |= 1 << bit;
+            }
+        }
+        assert_eq!(folding(4 * 128 + 32), clmul::K1);
+        assert_eq!(folding(4 * 128 - 32), clmul::K2);
+        assert_eq!(folding(128 + 32), clmul::K3);
+        assert_eq!(folding(128 - 32), clmul::K4);
+        assert_eq!(folding(64), clmul::K5);
+        assert_eq!(reflect33(p), clmul::P_PRIME);
+        assert_eq!(reflect33(quotient), clmul::MU);
     }
 
     #[test]

@@ -2,30 +2,99 @@
 //! study's feeds to disk and streaming them back through the replay
 //! pipeline must reproduce the in-memory [`StudyDataset`] bit for bit,
 //! and the replay report must account for every feed line.
+//!
+//! The `small` preset's JSONL feed set is about 15 GB, so the test
+//! exports it day by day as the replay reads it
+//! ([`FeedExporter`] behind [`replay_study_staged`]) and removes each
+//! day's files once they are read: every day still goes through the
+//! exporter's files and the reader's JSONL path, with two days on disk
+//! at most.
 
 mod common;
 
+use cellscope::exec::Executor;
 use cellscope::scenario::replay::{
-    dataset_divergence, export_feeds, replay_study, ReplayConfig,
+    dataset_divergence, events_file_name, kpi_file_name, replay_study_staged, FeedExporter,
+    ReplayConfig,
 };
-use cellscope::scenario::ScenarioConfig;
-use std::path::PathBuf;
+use cellscope::scenario::{ScenarioConfig, World};
+use std::path::{Path, PathBuf};
 
-fn scratch_dir() -> PathBuf {
-    std::env::temp_dir().join(format!("cellscope_feeds_equiv_{}", std::process::id()))
+/// Prefix of the feed directory, followed by the pid of the test
+/// process that wrote it.
+const SCRATCH_PREFIX: &str = "cellscope_feeds_equiv_";
+
+/// The feed directory, under cargo's per-package test tmp dir. Removed when dropped, so a failed
+/// export or a panicking assertion does not leave it behind.
+struct ScratchDir(PathBuf);
+
+impl ScratchDir {
+    /// Take away the directories of earlier runs whose process is
+    /// gone, then claim this process's directory.
+    fn create() -> ScratchDir {
+        remove_stale_scratch();
+        let dir = Path::new(env!("CARGO_TARGET_TMPDIR"))
+            .join(format!("{SCRATCH_PREFIX}{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        ScratchDir(dir)
+    }
+}
+
+impl Drop for ScratchDir {
+    fn drop(&mut self) {
+        std::fs::remove_dir_all(&self.0).ok();
+    }
+}
+
+/// Remove the feed directories of runs whose process is gone (a run
+/// killed before its guard dropped). Liveness is read from procfs;
+/// without it nothing is removed.
+fn remove_stale_scratch() {
+    if !Path::new("/proc/self").exists() {
+        return;
+    }
+    let Ok(entries) = std::fs::read_dir(env!("CARGO_TARGET_TMPDIR")) else {
+        return;
+    };
+    for entry in entries.flatten() {
+        let name = entry.file_name();
+        let pid = name
+            .to_str()
+            .and_then(|n| n.strip_prefix(SCRATCH_PREFIX))
+            .and_then(|rest| rest.parse::<u32>().ok());
+        if let Some(pid) = pid {
+            if !Path::new(&format!("/proc/{pid}")).exists() {
+                std::fs::remove_dir_all(entry.path()).ok();
+            }
+        }
+    }
 }
 
 #[test]
 fn replayed_dataset_is_bit_identical_to_in_memory() {
     let cfg = ScenarioConfig::small(42);
-    let dir = scratch_dir();
-    let manifest = export_feeds(&cfg, &dir).expect("export feeds");
+    let world = World::build(&cfg);
+    let scratch = ScratchDir::create();
+    let dir = &scratch.0;
+    let mut exporter = FeedExporter::new(&cfg, &world, dir).expect("start export");
+    exporter.write_manifest().expect("write manifest");
+    let manifest = *exporter.manifest();
     assert_eq!(manifest.seed, 42);
     assert_eq!(manifest.num_days as usize, common::dataset().clock.num_days());
 
-    let (replayed, report) =
-        replay_study(&cfg, &dir, &ReplayConfig::default()).expect("replay");
-    std::fs::remove_dir_all(&dir).ok();
+    // Before the reader opens day `d`: drop day `d - 1`'s files (read
+    // in full already), then export day `d`.
+    let rcfg = ReplayConfig::default();
+    let mut exec = Executor::new(rcfg.threads);
+    let (replayed, report) = replay_study_staged(&cfg, &world, dir, &rcfg, &mut exec, |day| {
+        if let Some(prev) = day.checked_sub(1) {
+            std::fs::remove_file(dir.join(events_file_name(prev)))?;
+            std::fs::remove_file(dir.join(kpi_file_name(prev)))?;
+        }
+        exporter.export_day(day)
+    })
+    .expect("replay");
+    drop(scratch);
 
     // The exact same analysis objects, fed from serialized JSONL feeds,
     // land on the exact same dataset.
