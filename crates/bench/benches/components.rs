@@ -1,11 +1,13 @@
 //! Microbenchmarks for the hot components of the pipeline: the mobility
 //! metrics (computed millions of times per study), the spatial index,
-//! serving-cell resolution, the scheduler, and the dwell reconstruction.
+//! serving-cell resolution, the scheduler, the cell-day KPI medians,
+//! and the dwell reconstruction.
 //!
 //! Run with `cargo bench -p cellscope-bench --bench components`.
 
+use cellscope_core::kpi_stats::HourlyKpiSample;
 use cellscope_core::{
-    mobility_entropy, radius_of_gyration, top_n_towers, TowerDwell,
+    mobility_entropy, radius_of_gyration, top_n_towers, CellDayMetrics, TowerDwell,
 };
 use cellscope_geo::{Point, SynthConfig};
 use cellscope_radio::{
@@ -58,6 +60,56 @@ fn bench_scheduler(c: &mut Criterion) {
     c.bench_function("scheduler_serve_cell_hour", |b| {
         b.iter(|| scheduler.serve(black_box(capacity), black_box(&load)))
     });
+    let hours = busiest_cell_day();
+    c.bench_function("cell_day_medians_24h", |b| {
+        b.iter(|| CellDayMetrics::from_hourly(0, 0, black_box(&hours)))
+    });
+}
+
+/// One real cell-day as phase B hands it to `from_hourly`: a `tiny`
+/// world's first day through the load generator and the scheduler, at
+/// its busiest 4G cell. The population weight multiplies loads, it
+/// does not change the work, so the loads are unweighted.
+fn busiest_cell_day() -> Vec<HourlyKpiSample> {
+    use cellscope_mobility::{DayTrajectory, TrajectoryGenerator};
+    use cellscope_radio::{Cell, CellHourKpi};
+    use cellscope_scenario::run::{hourly_sample, load_generator};
+    use cellscope_scenario::{ScenarioConfig, World};
+    use cellscope_traffic::DayLoadGrid;
+
+    let config = ScenarioConfig::tiny(9);
+    let world = World::build(&config);
+    let day = 0;
+    let date = world.clock.date(day);
+    let mut trajgen =
+        TrajectoryGenerator::new(&world.geo, &world.behavior, world.clock, config.seed);
+    let loadgen = load_generator(&config, 1.0);
+    let mut grid = DayLoadGrid::new(world.topo.cells().len());
+    let mut traj = DayTrajectory::default();
+    for sub in world.population.subscribers() {
+        trajgen.generate_into(sub, day, &mut traj);
+        loadgen.accumulate(sub, &traj, date, 0.0, 0.0, &world.topo, &mut grid);
+    }
+    let users = |c: &Cell| -> f64 {
+        (0..24)
+            .map(|h| grid.get(c.id.index(), h).connected_users)
+            .sum()
+    };
+    let busiest = world
+        .topo
+        .cells()
+        .iter()
+        .filter(|c| c.rat == Rat::G4 && c.is_active(day))
+        .max_by(|a, b| users(a).total_cmp(&users(b)))
+        .expect("a tiny world has active 4G cells");
+    let scheduler = Scheduler::default();
+    (0..24u8)
+        .map(|hour| {
+            let load = grid.get(busiest.id.index(), hour as usize);
+            let radio = scheduler.serve(busiest.capacity, load);
+            hourly_sample(&CellHourKpi::from_radio(busiest.id, day, hour, &radio, 0.0))
+        })
+        .collect()
 }
 
 fn bench_spatial_index(c: &mut Criterion) {

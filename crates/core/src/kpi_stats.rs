@@ -153,6 +153,97 @@ impl KpiField {
     }
 }
 
+impl HourlyKpiSample {
+    /// Read one metric.
+    pub fn get(&self, field: KpiField) -> f64 {
+        self.lanes()[field.index()]
+    }
+
+    /// The ten metrics as lanes, in [`KpiField::ALL`] order.
+    fn lanes(&self) -> [f64; KpiField::COUNT] {
+        [
+            self.dl_volume_mb,
+            self.ul_volume_mb,
+            self.active_dl_users,
+            self.connected_users,
+            self.user_dl_throughput_mbps,
+            self.tti_utilization,
+            self.voice_volume_mb,
+            self.voice_users,
+            self.voice_ul_loss,
+            self.voice_dl_loss,
+        ]
+    }
+}
+
+/// Hourly samples in a full reporting cell-day.
+const HOURS_PER_DAY: usize = 24;
+
+/// Median selection network for 24 inputs: Batcher's odd–even merge
+/// sort on 32 wires, without the comparators that touch wires 24..32
+/// (they would only ever compare against +∞ padding) and pruned to the
+/// comparators that feed wires 11 and 12. Applied as `(i, j)` → wire
+/// `i` takes the minimum, wire `j` the maximum, it leaves ranks 11 and
+/// 12 on wires 11 and 12. The unit tests regenerate it from Batcher's
+/// construction and check it exhaustively over every 0-1 input.
+#[rustfmt::skip]
+const MEDIAN24_NETWORK: [(u8, u8); 108] = [
+    (0, 1), (2, 3), (4, 5), (6, 7), (8, 9), (10, 11), (12, 13), (14, 15),
+    (16, 17), (18, 19), (20, 21), (22, 23), (0, 2), (1, 3), (4, 6), (5, 7),
+    (8, 10), (9, 11), (12, 14), (13, 15), (16, 18), (17, 19), (20, 22), (21, 23),
+    (1, 2), (5, 6), (9, 10), (13, 14), (17, 18), (21, 22), (0, 4), (1, 5),
+    (2, 6), (3, 7), (8, 12), (9, 13), (10, 14), (11, 15), (16, 20), (17, 21),
+    (18, 22), (19, 23), (2, 4), (3, 5), (10, 12), (11, 13), (18, 20), (19, 21),
+    (1, 2), (3, 4), (5, 6), (9, 10), (11, 12), (13, 14), (17, 18), (19, 20),
+    (21, 22), (0, 8), (1, 9), (2, 10), (3, 11), (4, 12), (5, 13), (6, 14),
+    (7, 15), (4, 8), (5, 9), (6, 10), (7, 11), (2, 4), (3, 5), (6, 8),
+    (7, 9), (10, 12), (11, 13), (18, 20), (19, 21), (1, 2), (3, 4), (5, 6),
+    (7, 8), (9, 10), (11, 12), (13, 14), (17, 18), (19, 20), (21, 22), (0, 16),
+    (1, 17), (2, 18), (3, 19), (4, 20), (5, 21), (6, 22), (7, 23), (8, 16),
+    (9, 17), (10, 18), (11, 19), (12, 20), (13, 21), (6, 10), (7, 11), (12, 16),
+    (13, 17), (10, 12), (11, 13), (11, 12),
+];
+
+/// The ten medians of a full 24-hour cell-day in one pass: the samples
+/// sit as 24 rows of ten lanes and [`MEDIAN24_NETWORK`] runs over the
+/// rows, each comparator a lane-wise min/max by `<`.
+///
+/// Bit-identical to per-field `stats::median_unstable`: for non-NaN
+/// values `<` agrees with `total_cmp` except on +0.0 against −0.0, so
+/// with neither NaN nor −0.0 present, values equal under `<` have equal
+/// bits and the network's ranks 11 and 12 are the selection's. The
+/// midpoint then repeats `percentile_unstable`'s arithmetic at rank
+/// 11.5. Returns `None` (the caller falls back to selection) for any
+/// other length, a NaN or a −0.0.
+fn medians_24h(hours: &[HourlyKpiSample]) -> Option<[f64; KpiField::COUNT]> {
+    let hours: &[HourlyKpiSample; HOURS_PER_DAY] = hours.try_into().ok()?;
+    let mut rows = [[0.0f64; KpiField::COUNT]; HOURS_PER_DAY];
+    let mut exotic = false;
+    for (row, h) in rows.iter_mut().zip(hours) {
+        *row = h.lanes();
+        for v in row.iter() {
+            exotic |= v.is_nan() | (v.to_bits() == (-0.0f64).to_bits());
+        }
+    }
+    if exotic {
+        return None;
+    }
+    for &(i, j) in &MEDIAN24_NETWORK {
+        let (mut lo, mut hi) = (rows[i as usize], rows[j as usize]);
+        for (a, b) in lo.iter_mut().zip(hi.iter_mut()) {
+            let (x, y) = (*a, *b);
+            *a = if y < x { y } else { x };
+            *b = if y < x { x } else { y };
+        }
+        rows[i as usize] = lo;
+        rows[j as usize] = hi;
+    }
+    let frac = 0.5;
+    Some(std::array::from_fn(|k| {
+        rows[11][k] * (1.0 - frac) + rows[12][k] * frac
+    }))
+}
+
 impl CellDayMetrics {
     /// Collapse one cell-day's hourly samples into the daily record
     /// (median per metric). Returns `None` for an empty day.
@@ -160,37 +251,35 @@ impl CellDayMetrics {
         if hours.is_empty() {
             return None;
         }
-        // A cell-day has at most 24 hourly samples, so the median can
-        // run on a stack buffer — `median_unstable` selects in place
-        // and is bit-identical to the allocating `median`. The Vec
-        // fallback keeps callers with denser-than-hourly samples (or
-        // tests feeding synthetic rows) working.
-        let med = |f: fn(&HourlyKpiSample) -> f64| -> f32 {
-            let m = if hours.len() <= 24 {
-                let mut buf = [0.0f64; 24];
-                for (slot, h) in buf.iter_mut().zip(hours) {
-                    *slot = f(h);
-                }
-                stats::median_unstable(&mut buf[..hours.len()])
-            } else {
-                let mut vals: Vec<f64> = hours.iter().map(f).collect();
-                stats::median_unstable(&mut vals)
-            };
-            m.expect("non-empty, NaN-free hourly samples") as f32
-        };
+        let medians = medians_24h(hours).unwrap_or_else(|| {
+            std::array::from_fn(|k| {
+                let m = if hours.len() <= HOURS_PER_DAY {
+                    let mut buf = [0.0f64; HOURS_PER_DAY];
+                    for (slot, h) in buf.iter_mut().zip(hours) {
+                        *slot = h.lanes()[k];
+                    }
+                    stats::median_unstable(&mut buf[..hours.len()])
+                } else {
+                    let mut vals: Vec<f64> = hours.iter().map(|h| h.lanes()[k]).collect();
+                    stats::median_unstable(&mut vals)
+                };
+                m.expect("non-empty, NaN-free hourly samples")
+            })
+        });
+        let m = medians.map(|v| v as f32);
         Some(CellDayMetrics {
             cell,
             day,
-            dl_volume_mb: med(|h| h.dl_volume_mb),
-            ul_volume_mb: med(|h| h.ul_volume_mb),
-            active_dl_users: med(|h| h.active_dl_users),
-            connected_users: med(|h| h.connected_users),
-            user_dl_throughput_mbps: med(|h| h.user_dl_throughput_mbps),
-            tti_utilization: med(|h| h.tti_utilization),
-            voice_volume_mb: med(|h| h.voice_volume_mb),
-            voice_users: med(|h| h.voice_users),
-            voice_ul_loss: med(|h| h.voice_ul_loss),
-            voice_dl_loss: med(|h| h.voice_dl_loss),
+            dl_volume_mb: m[0],
+            ul_volume_mb: m[1],
+            active_dl_users: m[2],
+            connected_users: m[3],
+            user_dl_throughput_mbps: m[4],
+            tti_utilization: m[5],
+            voice_volume_mb: m[6],
+            voice_users: m[7],
+            voice_ul_loss: m[8],
+            voice_dl_loss: m[9],
         })
     }
 
@@ -499,6 +588,123 @@ mod tests {
         assert_eq!(day.dl_volume_mb, 11.5); // median of 0..=23
         assert_eq!(day.connected_users, 50.0);
         assert!(CellDayMetrics::from_hourly(7, 3, &[]).is_none());
+    }
+
+    /// Batcher's odd–even merge sort on `n` wires (a power of two), in
+    /// its usual iterative order: merge stages of size `p` = 1, 2, 4, …,
+    /// and within a stage comparator distances `k` = `p`, `p`/2, …, 1.
+    fn batcher_odd_even_merge_sort(n: usize) -> Vec<(usize, usize)> {
+        let mut net = Vec::new();
+        let mut p = 1;
+        while p < n {
+            let mut k = p;
+            while k >= 1 {
+                let mut j = k % p;
+                while j + k < n {
+                    for i in 0..k.min(n - j - k) {
+                        if (i + j) / (2 * p) == (i + j + k) / (2 * p) {
+                            net.push((i + j, i + j + k));
+                        }
+                    }
+                    j += 2 * k;
+                }
+                k /= 2;
+            }
+            p *= 2;
+        }
+        net
+    }
+
+    #[test]
+    fn median_network_is_pruned_batcher() {
+        let full = batcher_odd_even_merge_sort(32);
+        assert_eq!(full.len(), 191);
+        // Wires 24..32 would hold +∞ padding: every comparator touching
+        // them is a no-op.
+        let sort24: Vec<_> = full
+            .into_iter()
+            .filter(|&(_, j)| j < HOURS_PER_DAY)
+            .collect();
+        assert_eq!(sort24.len(), 132);
+        // Keep, walking backwards, each comparator that touches a wire
+        // outputs 11 and 12 still depend on.
+        let mut live = [false; HOURS_PER_DAY];
+        live[11] = true;
+        live[12] = true;
+        let mut kept = Vec::new();
+        for &(i, j) in sort24.iter().rev() {
+            if live[i] || live[j] {
+                live[i] = true;
+                live[j] = true;
+                kept.push((i as u8, j as u8));
+            }
+        }
+        kept.reverse();
+        assert_eq!(kept, MEDIAN24_NETWORK);
+    }
+
+    /// 0-1 principle: a comparator network selects ranks 11 and 12 of
+    /// every input iff it does so for every binary input. All 2^24 of
+    /// them run bit-sliced, 64 per `u64` word: input `x = 64 * w + b`
+    /// sits in bit `b` of word `w`, and wire `k` holds bit `k` of `x`.
+    #[test]
+    fn median_network_selects_ranks_11_and_12_on_every_binary_input() {
+        const LOW: [u64; 6] = [
+            0xAAAA_AAAA_AAAA_AAAA,
+            0xCCCC_CCCC_CCCC_CCCC,
+            0xF0F0_F0F0_F0F0_F0F0,
+            0xFF00_FF00_FF00_FF00,
+            0xFFFF_0000_FFFF_0000,
+            0xFFFF_FFFF_0000_0000,
+        ];
+        // at_least[t]: the bits b whose 6-bit index has ≥ t ones.
+        let mut at_least = [0u64; 8];
+        for b in 0..64u32 {
+            for (t, mask) in at_least.iter_mut().enumerate() {
+                if b.count_ones() as usize >= t {
+                    *mask |= 1 << b;
+                }
+            }
+        }
+        // Wire p of a sorted output is 1 iff the input has ≥ 24 - p ones.
+        let rank_mask = |p: usize, high_ones: usize| -> u64 {
+            let need = (HOURS_PER_DAY - p).saturating_sub(high_ones);
+            at_least.get(need).copied().unwrap_or(0)
+        };
+        for w in 0u64..1 << 18 {
+            let mut wires = [0u64; HOURS_PER_DAY];
+            for (k, wire) in wires.iter_mut().enumerate() {
+                *wire = if k < 6 {
+                    LOW[k]
+                } else if w >> (k - 6) & 1 == 1 {
+                    u64::MAX
+                } else {
+                    0
+                };
+            }
+            for &(i, j) in &MEDIAN24_NETWORK {
+                let (a, b) = (wires[i as usize], wires[j as usize]);
+                wires[i as usize] = a & b;
+                wires[j as usize] = a | b;
+            }
+            let high_ones = w.count_ones() as usize;
+            assert_eq!(wires[11], rank_mask(11, high_ones), "rank 11, word {w}");
+            assert_eq!(wires[12], rank_mask(12, high_ones), "rank 12, word {w}");
+        }
+    }
+
+    /// Only full days free of NaN and −0.0 take the network; the
+    /// property tests compare both paths with the reference.
+    #[test]
+    fn median_network_takes_only_clean_24_hour_days() {
+        let hours: Vec<_> = (0..24).map(|h| sample(h as f64 - 3.0)).collect();
+        assert!(medians_24h(&hours).is_some());
+        assert!(medians_24h(&hours[..23]).is_none());
+        for bad in [-0.0, f64::NAN] {
+            let mut day = hours.clone();
+            day[5].voice_users = bad;
+            assert!(medians_24h(&day).is_none());
+        }
     }
 
     #[test]

@@ -1,9 +1,11 @@
 //! Property tests for the columnar KPI aggregation engine: the indexed
 //! query paths must match the naive rescan implementations bit-for-bit
 //! on arbitrary tables, and the selection-based percentile kernel must
-//! match the clone-and-sort reference.
+//! match the clone-and-sort reference. The cell-day kernel
+//! (`CellDayMetrics::from_hourly`, a median network for 24 samples and
+//! selection otherwise) must match the reference median per field.
 
-use cellscope_core::kpi_stats::CellDayMetrics;
+use cellscope_core::kpi_stats::{CellDayMetrics, HourlyKpiSample};
 use cellscope_core::{stats, KpiField, KpiTable};
 use cellscope_time::{IsoWeek, SimClock};
 use proptest::prelude::*;
@@ -42,6 +44,128 @@ fn rows_strategy(max_rows: usize) -> impl Strategy<Value = Vec<(u32, u16, f32)>>
         (0u32..12, 0u16..10, (-500.0f64..500.0).prop_map(|v| v as f32)),
         0..max_rows,
     )
+}
+
+/// The `kind` that [`hour_value`] turns into a NaN; `rows_of` never
+/// draws it.
+const NAN_KIND: u8 = 7;
+
+/// One hourly value from a generated (kind, x) pair: ordinary values
+/// (negatives included), heavy ties, signed zeros, infinities,
+/// subnormals and ±`f64::MAX`. With `neg_zero` false every zero is
+/// +0.0, which keeps a 24-sample day on the median network.
+fn hour_value(kind: u8, x: f64, neg_zero: bool) -> f64 {
+    let v = match kind {
+        0 | 1 => x,
+        2 => (x.abs() as u64 % 3) as f64,
+        3 => 0.0f64.copysign(x),
+        4 => f64::INFINITY.copysign(x),
+        5 => f64::from_bits((x.abs() * 1e9) as u64 & ((1 << 52) - 1)).copysign(x),
+        NAN_KIND => f64::NAN,
+        _ => f64::MAX.copysign(x),
+    };
+    if v == 0.0 && !neg_zero {
+        0.0
+    } else {
+        v
+    }
+}
+
+fn hours_from(rows: &[Vec<(u8, f64)>], neg_zero: bool) -> Vec<HourlyKpiSample> {
+    rows.iter()
+        .map(|lanes| {
+            let v: Vec<f64> = lanes
+                .iter()
+                .map(|&(k, x)| hour_value(k, x, neg_zero))
+                .collect();
+            HourlyKpiSample {
+                dl_volume_mb: v[0],
+                ul_volume_mb: v[1],
+                active_dl_users: v[2],
+                connected_users: v[3],
+                user_dl_throughput_mbps: v[4],
+                tti_utilization: v[5],
+                voice_volume_mb: v[6],
+                voice_users: v[7],
+                voice_ul_loss: v[8],
+                voice_dl_loss: v[9],
+            }
+        })
+        .collect()
+}
+
+/// `from_hourly`'s record against per-field `percentile_ref` medians,
+/// compared by bits.
+fn assert_reference_medians(hours: &[HourlyKpiSample]) {
+    let rec = CellDayMetrics::from_hourly(5, 9, hours).expect("non-empty day");
+    assert_eq!((rec.cell, rec.day), (5, 9));
+    for field in KpiField::ALL {
+        let column: Vec<f64> = hours.iter().map(|h| h.get(field)).collect();
+        let want = stats::percentile_ref(&column, 50.0).unwrap() as f32;
+        assert_eq!(
+            rec.get_f32(field).to_bits(),
+            want.to_bits(),
+            "{field:?} over {column:?}"
+        );
+    }
+}
+
+fn rows_of(len: std::ops::Range<usize>) -> impl Strategy<Value = Vec<Vec<(u8, f64)>>> {
+    prop::collection::vec(prop::collection::vec((0u8..NAN_KIND, -1e3f64..1e3), 10), len)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Full 24-hour days (the median network) and every other length
+    /// (selection) give the reference medians, on exotic values.
+    #[test]
+    fn from_hourly_matches_reference_medians(
+        rows in rows_of(1..31),
+        day in rows_of(24..25),
+        neg_zero in 0u8..2,
+    ) {
+        assert_reference_medians(&hours_from(&rows, neg_zero == 1));
+        assert_reference_medians(&hours_from(&day, neg_zero == 1));
+    }
+
+    /// One column of nothing but mixed ±0.0 and one of heavy ties.
+    #[test]
+    fn from_hourly_matches_reference_on_zeros_and_ties(
+        day in rows_of(24..25),
+        signs in prop::collection::vec(0u8..2, 24),
+        ties in prop::collection::vec(0u8..3, 24),
+    ) {
+        let mut hours = hours_from(&day, false);
+        for (h, (&s, &t)) in hours.iter_mut().zip(signs.iter().zip(&ties)) {
+            h.voice_users = if s == 1 { -0.0 } else { 0.0 };
+            h.tti_utilization = t as f64 * 0.25;
+        }
+        assert_reference_medians(&hours);
+        assert_reference_medians(&hours[..23]);
+    }
+
+    /// A NaN anywhere panics, on the network's length and on others.
+    #[test]
+    fn from_hourly_panics_on_nan(
+        rows in rows_of(1..31),
+        day in rows_of(24..25),
+        at in (0usize..1000, 0usize..10),
+    ) {
+        for mut rows in [rows, day] {
+            let n = rows.len();
+            rows[at.0 % n][at.1].0 = NAN_KIND;
+            let hours = hours_from(&rows, false);
+            let err = std::panic::catch_unwind(|| CellDayMetrics::from_hourly(0, 0, &hours))
+                .expect_err("NaN must panic");
+            let msg = err
+                .downcast_ref::<&str>()
+                .map(|s| s.to_string())
+                .or_else(|| err.downcast_ref::<String>().cloned())
+                .unwrap_or_default();
+            prop_assert!(msg.contains("non-empty, NaN-free hourly samples"), "{}", msg);
+        }
+    }
 }
 
 proptest! {

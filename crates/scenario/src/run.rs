@@ -236,6 +236,9 @@ pub(crate) struct DerivedMetrics {
     pub(crate) rat_minutes: [u64; 3],
 }
 
+/// Towers behind the county-presence mask: the paper's top-20.
+const MASK_TOP_N: usize = 20;
+
 /// Derive one user-day's metrics from `scratch.segments`. `top_n` is
 /// the study's configured top-N tower count (the metrics half);
 /// the county mask always uses the paper's fixed top-20.
@@ -296,11 +299,12 @@ pub(crate) fn derive_user_day(
         *slot = cellscope_core::radius_of_gyration(&scratch.bin_dwell);
     }
 
-    // County presence mask (for the mobility matrix), over the same
-    // top-20 tower set the metrics use. Recomputed into the reused
-    // scratch buffer so the mask stays decoupled from the study's
-    // configured top-N (both are 20 today).
-    top_n_towers_into(&scratch.dwell, 20, &mut scratch.top);
+    // County presence mask (for the mobility matrix), over the paper's
+    // top-20 tower set. A study configured with another top-N selects
+    // that set again; at top-20 the metrics' selection already is it.
+    if top_n != MASK_TOP_N {
+        top_n_towers_into(&scratch.dwell, MASK_TOP_N, &mut scratch.top);
+    }
     let mut mask = 0u32;
     for t in &scratch.top {
         let zone = world.topo.site(cellscope_radio::SiteId(t.tower)).zone;
@@ -747,22 +751,27 @@ pub(crate) fn day_kpi_from_grid_range(
             // Interconnect DL loss is added in the sequential pass;
             // pass 0 here.
             let kpi_hour = CellHourKpi::from_radio(cell.id, day, hour, &radio, 0.0);
-            hours_buf.push(HourlyKpiSample {
-                dl_volume_mb: kpi_hour.dl_volume_mb,
-                ul_volume_mb: kpi_hour.ul_volume_mb,
-                active_dl_users: kpi_hour.active_dl_users,
-                connected_users: kpi_hour.connected_users,
-                user_dl_throughput_mbps: kpi_hour.user_dl_throughput_mbps,
-                tti_utilization: kpi_hour.tti_utilization,
-                voice_volume_mb: kpi_hour.voice.volume_mb,
-                voice_users: kpi_hour.voice.simultaneous_users,
-                voice_ul_loss: kpi_hour.voice.ul_loss_rate,
-                voice_dl_loss: kpi_hour.voice.dl_loss_rate,
-            });
+            hours_buf.push(hourly_sample(&kpi_hour));
         }
         if any_usage {
             sink(cell.id.0, hours_buf);
         }
+    }
+}
+
+/// One cell-hour's KPIs as the sample the cell-day medians read.
+pub fn hourly_sample(kpi: &CellHourKpi) -> HourlyKpiSample {
+    HourlyKpiSample {
+        dl_volume_mb: kpi.dl_volume_mb,
+        ul_volume_mb: kpi.ul_volume_mb,
+        active_dl_users: kpi.active_dl_users,
+        connected_users: kpi.connected_users,
+        user_dl_throughput_mbps: kpi.user_dl_throughput_mbps,
+        tti_utilization: kpi.tti_utilization,
+        voice_volume_mb: kpi.voice.volume_mb,
+        voice_users: kpi.voice.simultaneous_users,
+        voice_ul_loss: kpi.voice.ul_loss_rate,
+        voice_dl_loss: kpi.voice.dl_loss_rate,
     }
 }
 
@@ -931,4 +940,63 @@ pub(crate) fn assemble(
         declaration: world.behavior.schedule().declaration_date(),
         full_restriction: world.behavior.schedule().full_restriction_date(),
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use cellscope_core::{stats, KpiField};
+
+    /// Every phase-B cell-day of a `tiny` world reaches the cell-day
+    /// kernel as 24 samples with no NaN and no −0.0 (the median
+    /// network's domain, so the selection fallback never runs on this
+    /// traffic), and its record equals the per-field reference medians
+    /// bit for bit.
+    #[test]
+    fn phase_b_cell_days_take_the_median_network() {
+        let config = ScenarioConfig::tiny(7);
+        let world = World::build(&config);
+        let scale = calibrate_traffic_scale(&config, &world);
+        let mut trajgen =
+            TrajectoryGenerator::new(&world.geo, &world.behavior, world.clock, config.seed);
+        let loadgen = load_generator(&config, scale);
+        let scheduler = Scheduler::new(SchedulerConfig::default());
+        let mut grid = DayLoadGrid::new(world.topo.cells().len());
+        let mut traj_buf = DayTrajectory::default();
+        let mut hours_buf = Vec::with_capacity(24);
+        let mut cell_days = 0usize;
+        for day in world.clock.days() {
+            simulate_day_kpi(
+                &world,
+                &mut trajgen,
+                &loadgen,
+                &scheduler,
+                &mut grid,
+                day,
+                &mut traj_buf,
+                &mut hours_buf,
+                |cell, hours| {
+                    assert_eq!(hours.len(), 24, "cell {cell} day {day}");
+                    let rec = CellDayMetrics::from_hourly(cell, day, hours).unwrap();
+                    for field in KpiField::ALL {
+                        let column: Vec<f64> = hours.iter().map(|h| h.get(field)).collect();
+                        assert!(
+                            column
+                                .iter()
+                                .all(|v| !v.is_nan() && v.to_bits() != (-0.0f64).to_bits()),
+                            "cell {cell} day {day} {field:?}: {column:?}"
+                        );
+                        let want = stats::percentile_ref(&column, 50.0).unwrap() as f32;
+                        assert_eq!(
+                            rec.get_f32(field).to_bits(),
+                            want.to_bits(),
+                            "cell {cell} day {day} {field:?}"
+                        );
+                    }
+                    cell_days += 1;
+                },
+            );
+        }
+        assert!(cell_days > 10_000, "only {cell_days} cell-days");
+    }
 }
